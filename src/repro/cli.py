@@ -56,6 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print a per-phase wall/CPU/memory breakdown")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_kernel(p: argparse.ArgumentParser) -> None:
+        from repro.kernels import KERNELS
+
+        p.add_argument(
+            "--kernel", choices=sorted(KERNELS), default=None,
+            help="bitset-kernel backend for the counting hot path "
+                 "(default: $REPRO_KERNEL, else native where a C "
+                 "compiler works, else bigint)",
+        )
+
     def add_graph_source(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--dataset", help="built-in analog name")
@@ -126,10 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
-    p_count.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"), default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
+    add_kernel(p_count)
     p_count.add_argument(
         "--ordering",
         choices=("heuristic", "core", "degree", "approx_core", "kcore",
@@ -148,10 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("dist", help="clique-size distribution")
     add_graph_source(p_dist)
     p_dist.add_argument("--max-k", type=int, default=None)
-    p_dist.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"), default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
+    add_kernel(p_dist)
     add_parallel(p_dist)
     add_forest(p_dist)
     add_resilience(p_dist)
@@ -209,11 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
-    p_stream.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"),
-        default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
+    add_kernel(p_stream)
     add_resilience(p_stream)
 
     from repro.bench.platform.cli import add_bench_parser

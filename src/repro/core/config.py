@@ -34,11 +34,15 @@ class PivotScaleConfig:
         Subgraph structure; ``"remap"`` is PivotScale's default
         (Sec. IV), ``"dense"``/``"sparse"`` reproduce the ablations.
     kernel:
-        Bitset-kernel backend for the counting hot path:
-        ``"bigint"`` (default; Python big-int masks) or
-        ``"wordarray"`` (NumPy uint64 word arrays with fused
-        vectorized intersect/popcount).  Counts and counters are
-        backend-invariant (guarded by ``tests/test_differential.py``).
+        Bitset-kernel backend for the counting hot path, one of
+        :data:`repro.kernels.KERNELS`: ``"native"`` (compiled root
+        walker), ``"bigint"`` (Python big-int masks, the oracle),
+        ``"wordarray"`` (NumPy uint64 word arrays) or ``"numba"``.
+        ``None`` (default) resolves through
+        :func:`repro.kernels.resolve_kernel`: the ``REPRO_KERNEL``
+        environment variable if set, else ``"native"`` where a C
+        compiler works and ``"bigint"`` otherwise.  Counts and counters
+        are backend-invariant (guarded by ``tests/test_differential.py``).
     ordering:
         ``"heuristic"`` (default) runs the Sec. III-E selector; a
         concrete name forces that ordering (``"core"``, ``"degree"``,
@@ -118,7 +122,7 @@ class PivotScaleConfig:
     """
 
     structure: str = "remap"
-    kernel: str = "bigint"
+    kernel: str | None = None
     ordering: str | None = "heuristic"
     threads: int = 64
     processes: int | None = None
@@ -147,7 +151,7 @@ class PivotScaleConfig:
             raise CountingError(f"unknown structure {self.structure!r}")
         from repro.kernels import KERNELS
 
-        if self.kernel not in KERNELS:
+        if self.kernel is not None and self.kernel not in KERNELS:
             raise CountingError(f"unknown kernel {self.kernel!r}")
         if self.ordering not in _VALID_ORDERINGS:
             raise CountingError(f"unknown ordering {self.ordering!r}")

@@ -18,7 +18,11 @@ DESIGN.md); adjacency rows live in a swappable
 set operations — as big-int ``&`` / ``int.bit_count()`` on the default
 ``bigint`` backend, as vectorized NumPy word-array passes on the
 ``wordarray`` backend — with identical counts and identical
-:class:`~repro.counting.counters.Counters` either way.
+:class:`~repro.counting.counters.Counters` either way.  On the
+``native`` backend a target-k root is not driven node by node at all:
+batches of roots go to the compiled walker
+(:meth:`~repro.kernels.native.NativeKernel.walk_roots_k`), which builds
+and walks each one in C and returns the same counts and tallies.
 
 Implementation subtleties carried over from Sec. V-A:
 
@@ -73,6 +77,22 @@ __all__ = [
 #: words — below it the NumPy tile pipeline's fixed per-level cost
 #: exceeds the whole subtree's scalar scan time).
 _FRONTIER_MIN_PC = 128
+
+#: Roots per native walker call when many roots go to the walker at
+#: once.  Per-call overhead is tens of microseconds, amortized at this
+#: size; larger batches only grow the per-root result arrays, and on
+#: the 100k-root ingest workload 65,536-root batches raised peak RSS by
+#: ~5% (malloc keeps the freed multi-megabyte temporaries).
+_NATIVE_BATCH = 1 << 12
+
+
+def _fold_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...`` added left to right —
+    the order a per-root ``Counters.merge`` loop adds in, so float
+    totals stay bit-identical to it (``np.sum`` would add pairwise)."""
+    if values.size == 0:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 @dataclass
@@ -345,47 +365,59 @@ class SCTEngine:
                 roots=len(roots),
                 **self._span_attrs(k, max_k),
             ), obs.phase("counting"):
-                for v in roots:
-                    if ctl is None:
-                        ctr, delta, local = run_root(v)
-                    else:
-                        try:
-                            ctl.tick()
+                if ctl is None and k is not None and self._walks_natively():
+                    work = np.empty(len(roots), dtype=np.float64)
+                    memory = np.empty(len(roots), dtype=np.float64)
+                    total = self._walk_roots(
+                        np.asarray(roots, dtype=np.int64), k,
+                        early_termination, totals, work, memory,
+                    )
+                    per_root_work = work.tolist()
+                    per_root_memory = memory.tolist()
+                    obs.note_memory(totals.peak_subgraph_bytes)
+                    done = len(roots)
+                else:
+                    for v in roots:
+                        if ctl is None:
                             ctr, delta, local = run_root(v)
-                        except MemoryError as exc:
-                            raise MemoryBudgetExceededError(
-                                f"allocation failure at root {v}",
-                                spent=ctl.spent_snapshot(),
-                            ) from exc
-                        except KernelFaultError:
-                            if (
-                                not ctl.degrade
-                                or self.kernel.name == "bigint"
-                            ):
-                                raise
-                            fallen = self._fallback_to_bigint()
-                            obs.degradation(
-                                "kernel_fallback", engine="sct", root=v,
-                                from_kernel=fallen,
-                            )
-                            if degraded_from is None:
-                                degraded_from = fallen
-                            ctr, delta, local = run_root(v)
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    if local is not None:
-                        for s in range(length):
-                            if local[s]:
-                                all_counts[s] += local[s]
-                    else:
-                        total += delta
-                    per_root_work.append(ctr.work)
-                    per_root_memory.append(float(ctr.peak_subgraph_bytes))
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    done += 1
-                    if ctl is not None:
-                        ctl.complete_root(v)
+                        else:
+                            try:
+                                ctl.tick()
+                                ctr, delta, local = run_root(v)
+                            except MemoryError as exc:
+                                raise MemoryBudgetExceededError(
+                                    f"allocation failure at root {v}",
+                                    spent=ctl.spent_snapshot(),
+                                ) from exc
+                            except KernelFaultError:
+                                if (
+                                    not ctl.degrade
+                                    or self.kernel.name == "bigint"
+                                ):
+                                    raise
+                                fallen = self._fallback_to_bigint()
+                                obs.degradation(
+                                    "kernel_fallback", engine="sct", root=v,
+                                    from_kernel=fallen,
+                                )
+                                if degraded_from is None:
+                                    degraded_from = fallen
+                                ctr, delta, local = run_root(v)
+                            ctl.charge_nodes(ctr.function_calls)
+                            ctl.note_memory(ctr.peak_subgraph_bytes)
+                        if local is not None:
+                            for s in range(length):
+                                if local[s]:
+                                    all_counts[s] += local[s]
+                        else:
+                            total += delta
+                        per_root_work.append(ctr.work)
+                        per_root_memory.append(float(ctr.peak_subgraph_bytes))
+                        totals.merge(ctr)
+                        obs.note_memory(ctr.peak_subgraph_bytes)
+                        done += 1
+                        if ctl is not None:
+                            ctl.complete_root(v)
         finally:
             obs.record_run(
                 totals, engine="sct", structure=self.structure.name,
@@ -529,50 +561,59 @@ class SCTEngine:
             ), obs.phase("counting"), (
                 ctl.guard() if ctl is not None else nullcontext()
             ):
-                for v in range(start, n):
-                    if ctl is None:
-                        ctr, delta, local = run_root(v)
-                    else:
-                        # Budget/fault checks all happen BEFORE the root
-                        # is folded into the totals: a root is all-in or
-                        # not-at-all, which keeps checkpoints consistent.
-                        try:
-                            ctl.tick()
+                if ctl is None and k is not None and self._walks_natively():
+                    total = self._walk_roots(
+                        np.arange(start, n, dtype=np.int64), k,
+                        early_termination, totals,
+                        per_root_work[start:], per_root_memory[start:],
+                    )
+                    obs.note_memory(totals.peak_subgraph_bytes)
+                    done = n
+                else:
+                    for v in range(start, n):
+                        if ctl is None:
                             ctr, delta, local = run_root(v)
-                        except MemoryError as exc:
-                            raise MemoryBudgetExceededError(
-                                f"allocation failure at root {v}",
-                                spent=ctl.spent_snapshot(),
-                            ) from exc
-                        except KernelFaultError:
-                            if (
-                                not ctl.degrade
-                                or self.kernel.name == "bigint"
-                            ):
-                                raise
-                            fallen = self._fallback_to_bigint()
-                            obs.degradation(
-                                "kernel_fallback", engine="sct", root=v,
-                                from_kernel=fallen,
-                            )
-                            if degraded_from is None:
-                                degraded_from = fallen
-                            ctr, delta, local = run_root(v)
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    if local is not None:
-                        for s in range(length):
-                            if local[s]:
-                                all_counts[s] += local[s]
-                    else:
-                        total += delta
-                    per_root_work[v] = ctr.work
-                    per_root_memory[v] = ctr.peak_subgraph_bytes
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    done = v + 1
-                    if ctl is not None:
-                        ctl.complete_root(v)
+                        else:
+                            # Budget/fault checks all happen BEFORE the root
+                            # is folded into the totals: a root is all-in or
+                            # not-at-all, which keeps checkpoints consistent.
+                            try:
+                                ctl.tick()
+                                ctr, delta, local = run_root(v)
+                            except MemoryError as exc:
+                                raise MemoryBudgetExceededError(
+                                    f"allocation failure at root {v}",
+                                    spent=ctl.spent_snapshot(),
+                                ) from exc
+                            except KernelFaultError:
+                                if (
+                                    not ctl.degrade
+                                    or self.kernel.name == "bigint"
+                                ):
+                                    raise
+                                fallen = self._fallback_to_bigint()
+                                obs.degradation(
+                                    "kernel_fallback", engine="sct", root=v,
+                                    from_kernel=fallen,
+                                )
+                                if degraded_from is None:
+                                    degraded_from = fallen
+                                ctr, delta, local = run_root(v)
+                            ctl.charge_nodes(ctr.function_calls)
+                            ctl.note_memory(ctr.peak_subgraph_bytes)
+                        if local is not None:
+                            for s in range(length):
+                                if local[s]:
+                                    all_counts[s] += local[s]
+                        else:
+                            total += delta
+                        per_root_work[v] = ctr.work
+                        per_root_memory[v] = ctr.peak_subgraph_bytes
+                        totals.merge(ctr)
+                        obs.note_memory(ctr.peak_subgraph_bytes)
+                        done = v + 1
+                        if ctl is not None:
+                            ctl.complete_root(v)
         finally:
             obs.record_run(
                 totals, engine="sct", structure=self.structure.name,
@@ -597,9 +638,74 @@ class SCTEngine:
     # ------------------------------------------------------------------
     # per-root recursions
     # ------------------------------------------------------------------
+    def _walks_natively(self) -> bool:
+        """Whether target-k roots go to the kernel's native walker: it
+        needs the walker, and a structure whose build charge it can
+        predict (the walker builds in C; the charge is computed)."""
+        return (
+            self.kernel.walks_roots
+            and self.structure.charges(0, 0.0) is not None
+        )
+
+    def _walk_roots(
+        self,
+        roots: np.ndarray,
+        k: int,
+        early_termination: bool,
+        totals: Counters,
+        work: np.ndarray,
+        memory: np.ndarray,
+    ) -> int:
+        """Count the k-cliques rooted at ``roots`` (int64) with the
+        kernel's native walker; returns their total.
+
+        Each root's counters are those :meth:`_count_root_k` charges,
+        folded into ``totals`` in root order with the same float
+        summation order as the per-root loop; ``work`` and ``memory``
+        receive each root's work units and footprint, aligned with
+        ``roots``.  A root whose count does not fit in 128 bits is
+        recounted by :meth:`_count_root_k`.
+        """
+        lw = self.structure.lookup_weight
+        total = 0
+        for lo in range(0, roots.size, _NATIVE_BATCH):
+            batch = roots[lo:lo + _NATIVE_BATCH]
+            hi = lo + batch.size
+            _, words, mem = self.structure.estimate_many(batch)
+            walk = self.kernel.walk_roots_k(
+                self.graph, self.dag, batch, k, early_termination
+            )
+            col = walk.column
+            scan_branch = col("scan") + col("branch")
+            set_op = (col("edge") + scan_branch).astype(np.float64)
+            lookups = scan_branch * lw
+            work[lo:hi] = set_op + lookups + words
+            memory[lo:hi] = mem
+            total += walk.total()
+            for i in np.flatnonzero(walk.overflow):
+                total += self._count_root_k(
+                    int(batch[i]), k, Counters(), early_termination
+                )
+            totals.function_calls += int(col("calls").sum())
+            totals.leaves += int(col("leaves").sum())
+            totals.set_op_words = _fold_sum(totals.set_op_words, set_op)
+            totals.index_lookups = _fold_sum(totals.index_lookups, lookups)
+            totals.subgraph_builds += int(batch.size)
+            totals.build_words = _fold_sum(totals.build_words, words)
+            totals.early_terminations += int(col("early").sum())
+            if batch.size:
+                totals.max_depth = max(
+                    totals.max_depth, int(col("depth").max())
+                )
+                totals.peak_subgraph_bytes = max(
+                    totals.peak_subgraph_bytes, int(mem.max())
+                )
+        return total
+
     def _count_root_k(
         self, v: int, k: int, ctr: Counters, early_termination: bool = True
     ) -> int:
+        est = None
         if early_termination and k > 1:
             # Degree-based candidate pruning (Lonkar & Beamer): when the
             # out-degree already caps the largest possible clique below
@@ -618,14 +724,6 @@ class SCTEngine:
                     ctr.function_calls += 1
                     ctr.early_terminations += 1
                     return 0
-        ctx = self.structure.build(v)
-        ctr.subgraph_builds += 1
-        ctr.build_words += ctx.build_words
-        ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
-        d = ctx.d
-        kern = ctx.kernel
-        lw = ctx.lookup_weight
-        full = (1 << d) - 1
         # Hot-path counters accumulate in a plain list (fast item ops)
         # and fold into the dataclass once per root:
         # [calls, leaves, early, scan vertices, branch vertices,
@@ -634,20 +732,30 @@ class SCTEngine:
         #  cost the paper's array-based implementation actually pays —
         #  this is what makes counting work sensitive to the ordering's
         #  subgraph sizes (Table II / Table III).
-        acc = [0, 0, 0, 0, 0, 0, 0]
-
-        if kern.frontier:
-            result = self._rec_k_frontier(ctx, k, acc, early_termination)
-            ctr.function_calls += acc[0]
-            ctr.leaves += acc[1]
-            ctr.early_terminations += acc[2]
-            ctr.index_lookups += (acc[3] + acc[4]) * lw
-            ctr.set_op_words += acc[6] + acc[3] + acc[4]
-            ctr.max_depth = max(ctr.max_depth, acc[5])
-            return result
-
-        rec = self._make_rec_k(ctx, k, acc, early_termination)
-        result = rec(full, d, 1, 0)
+        result = None
+        if self._walks_natively():
+            walk = self.kernel.walk_roots_k(
+                self.graph, self.dag, np.array([v], dtype=np.int64), k,
+                early_termination,
+            )
+            # A count past 128 bits (None) is redone by the Python walker.
+            result, acc = walk.root(0)
+        if result is not None:
+            _, build_words, memory = est or self.structure.estimate(v)
+            lw = self.structure.lookup_weight
+        else:
+            ctx = self.structure.build(v)
+            build_words, memory = ctx.build_words, ctx.memory_bytes
+            lw = ctx.lookup_weight
+            acc = [0, 0, 0, 0, 0, 0, 0]
+            if ctx.kernel.frontier:
+                result = self._rec_k_frontier(ctx, k, acc, early_termination)
+            else:
+                rec = self._make_rec_k(ctx, k, acc, early_termination)
+                result = rec((1 << ctx.d) - 1, ctx.d, 1, 0)
+        ctr.subgraph_builds += 1
+        ctr.build_words += build_words
+        ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, memory)
         ctr.function_calls += acc[0]
         ctr.leaves += acc[1]
         ctr.early_terminations += acc[2]

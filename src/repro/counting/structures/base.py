@@ -174,10 +174,24 @@ class SubgraphStructure(abc.ABC):
         self.graph = graph
         self.dag = dag
         self.kernel = resolve_kernel(kernel)
+        #: prefix sums of undirected degree over the DAG's adjacency
+        #: entries (built on the first :meth:`estimate_many`)
+        self._degree_sums: np.ndarray | None = None
 
     @abc.abstractmethod
     def build(self, v: int) -> RootContext:
         """Induce the first-level subgraph for root ``v``."""
+
+    def charges(self, d, words):
+        """``(build_words, memory_bytes)`` charged for building a root
+        of out-degree ``d`` whose first-level induction scanned
+        ``words`` neighbor entries; elementwise when both are arrays.
+
+        :meth:`build` charges exactly this, so :meth:`estimate` can
+        predict a build without doing it.  Returns ``None`` when the
+        structure cannot predict its build charge exactly.
+        """
+        return None
 
     def estimate(self, v: int) -> tuple[int, float, int] | None:
         """Predict ``(d, build_words, memory_bytes)`` of ``build(v)``
@@ -191,17 +205,30 @@ class SubgraphStructure(abc.ABC):
         cannot predict its build charge exactly — pruning is then
         disabled so counters stay backend- and path-invariant.
         """
-        return None
-
-    def _estimate_build_words(self, v: int) -> tuple[int, float]:
-        """Shared ``(d, first-level induction words)`` prediction: the
-        sum of undirected degrees over the out-neighborhood — exactly
-        what :func:`build_local_rows` charges."""
         out = self.dag.neighbors(v)
         d = int(out.size)
-        if d == 0:
-            return 0, 0.0
-        return d, float(np.sum(self.graph.degrees[out]))
+        words = float(np.sum(self.graph.degrees[out])) if d else 0.0
+        charged = self.charges(d, words)
+        return None if charged is None else (d, *charged)
+
+    def estimate_many(
+        self, roots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """:meth:`estimate` over an int64 array of roots at once, as
+        ``(d, build_words, memory_bytes)`` arrays holding exactly the
+        values the per-root call returns (``None`` likewise)."""
+        if self._degree_sums is None:
+            sums = np.zeros(self.dag.indices.size + 1, dtype=np.int64)
+            np.cumsum(self.graph.degrees[self.dag.indices], out=sums[1:])
+            self._degree_sums = sums
+        lo = self.dag.indptr[roots]
+        hi = self.dag.indptr[roots + 1]
+        d = hi - lo
+        words = (self._degree_sums[hi] - self._degree_sums[lo]).astype(
+            np.float64
+        )
+        charged = self.charges(d, words)
+        return None if charged is None else (d, *charged)
 
     def bitset_bytes(self, d: int) -> int:
         """Footprint of the ``d x d`` bitset adjacency itself."""

@@ -38,9 +38,8 @@ class DenseStructure(SubgraphStructure):
         self._slots: list[int] = [0] * graph.num_vertices
         self._touched: list[int] = []
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words, 8 * self.graph.num_vertices + self.bitset_bytes(d)
+    def charges(self, d, words):
+        return words, 8 * self.graph.num_vertices + self.bitset_bytes(d)
 
     def build(self, v: int) -> RootContext:
         out = self.dag.neighbors(v)
@@ -63,7 +62,7 @@ class DenseStructure(SubgraphStructure):
         def row(i: int, _slots=slots, _out=touched, _rows=rows, _k=kernel) -> int:
             return _k.row_int(_rows, _slots[_out[i]] - 1)
 
-        memory = 8 * self.graph.num_vertices + self.bitset_bytes(d)
+        build_words, memory = self.charges(d, build_words)
         return RootContext(
             d=d,
             out=out,

@@ -25,20 +25,17 @@ class RemapStructure(SubgraphStructure):
     name = "remap"
     lookup_weight = 1.0
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words + 1.2 * d, 8 * d + self.bitset_bytes(d)
+    def charges(self, d, words):
+        # The one-time remap pass: one (modeled) hash insertion per
+        # member; afterwards rows are indexed by local id directly.
+        return words + 1.2 * d, 8 * d + self.bitset_bytes(d)
 
     def build(self, v: int) -> RootContext:
         out = self.dag.neighbors(v)
         d = int(out.size)
         kernel = self.kernel
         rows, build_words = build_local_rows(self.graph, out, kernel)
-        # The one-time remap pass: one (modeled) hash insertion per
-        # member; afterwards rows are indexed by local id directly.
-        build_words += 1.2 * d
-
-        memory = 8 * d + self.bitset_bytes(d)
+        build_words, memory = self.charges(d, build_words)
         return RootContext(
             d=d,
             out=out,

@@ -29,9 +29,8 @@ class SparseStructure(SubgraphStructure):
     name = "sparse"
     lookup_weight = 1.2
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words, _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
+    def charges(self, d, words):
+        return words, _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
 
     def build(self, v: int) -> RootContext:
         out = self.dag.neighbors(v)
@@ -45,7 +44,7 @@ class SparseStructure(SubgraphStructure):
         def row(i: int, _table=table, _out=out_list, _rows=rows, _k=kernel) -> int:
             return _k.row_int(_rows, _table[_out[i]])
 
-        memory = _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
+        build_words, memory = self.charges(d, build_words)
         return RootContext(
             d=d,
             out=out,

@@ -76,7 +76,7 @@ class BitsetKernel(abc.ABC):
     threads.
     """
 
-    #: registry name ("bigint" / "wordarray" / "numba")
+    #: registry name ("bigint" / "wordarray" / "numba" / "native")
     name: str = "base"
 
     #: ``True`` when the backend supports native masks and the batched
@@ -85,6 +85,12 @@ class BitsetKernel(abc.ABC):
     #: Engines use this to pick the frontier recursion spine; scalar
     #: backends keep the per-node big-int path.
     frontier: bool = False
+
+    #: ``True`` when the backend runs whole target-k root walks (build
+    #: plus recursion) natively via ``walk_roots_k`` -- see
+    #: :class:`repro.kernels.native.NativeKernel`.  Engines then hand it
+    #: batches of roots instead of driving the per-node kernels.
+    walks_roots: bool = False
 
     # ------------------------------------------------------------------
     # row storage

@@ -61,6 +61,10 @@ class InstrumentedKernel(BitsetKernel):
     def frontier(self) -> bool:
         return self.inner.frontier
 
+    @property
+    def walks_roots(self) -> bool:
+        return self.inner.walks_roots
+
     # ---------------------------------------------------------- storage
     def alloc_rows(self, d: int) -> Any:
         self._c_alloc.inc()
@@ -124,6 +128,28 @@ class InstrumentedKernel(BitsetKernel):
     def expand_children(self, rows: Any, P: Any, best: int, best_row: Any):
         self._c_exp.inc()
         return self.inner.expand_children(rows, P, best, best_row)
+
+    # ------------------------------------------------------ root walks
+    def walk_roots_k(self, graph, dag, roots, k, early_termination=True):
+        """Forward a native root walk and publish the calls the scalar
+        spine would have made for it, from the walk's exact tallies:
+        one ``alloc_rows`` per built root (plus ``load_rows`` when it
+        is non-empty), one ``pivot_select`` per interior node and one
+        ``intersect_count`` per branch vertex.  Overflowed roots are
+        left out: the engine recounts them through this wrapper."""
+        walk = self.inner.walk_roots_k(graph, dag, roots, k,
+                                       early_termination)
+        ok = ~walk.overflow
+        built = walk.built & ok
+        interior = (walk.column("calls") - walk.column("leaves")
+                    - walk.column("early"))
+        self._c_alloc.inc(int(np.count_nonzero(built)))
+        self._c_load.inc(
+            int(np.count_nonzero(built & (walk.column("d") > 0)))
+        )
+        self._c_ps.inc(int(interior[ok].sum()))
+        self._c_ic.inc(int(walk.column("branch")[ok].sum()))
+        return walk
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<InstrumentedKernel {self.inner!r}>"

@@ -70,7 +70,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import KERNELS
+from repro.kernels import KERNELS, default_kernel_name
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.shm import attach_graph_pair, publish_graph_pair
 from repro.runtime.checkpoint import array_fingerprint, graph_fingerprint
@@ -163,7 +163,7 @@ def _chunk_plan_fingerprint(chunks: list[np.ndarray]) -> str:
 
 def _kernel_name(kernel) -> str:
     if kernel is None:
-        return "bigint"
+        return default_kernel_name()
     if isinstance(kernel, str):
         if kernel not in KERNELS:
             raise CountingError(

@@ -436,7 +436,8 @@ def test_interrupted_edit_batch_resumes_bit_identical(tmp_path, g, at_op):
     direct = oracle.apply_edits(_BIG_BATCH)
     assert direct.applied == report.applied
     _assert_same_forest(forest, oracle)
-    rebuilt = SCTForest.build(report.graph, forest.rank, "remap", "bigint")
+    rebuilt = SCTForest.build(report.graph, forest.rank, "remap",
+                              forest.descriptor["kernel"])
     _assert_same_forest(forest, rebuilt)
 
 
@@ -497,7 +498,8 @@ def test_loaded_forest_needs_explicit_inputs(tmp_path, g):
         loaded.apply_edits([("+", 0, 9)])
     report = loaded.apply_edits([("+", 0, 9)], graph=g, ordering=o)
     assert report.applied in (0, 1)
-    rebuilt = SCTForest.build(report.graph, loaded.rank, "remap", "bigint")
+    rebuilt = SCTForest.build(report.graph, loaded.rank, "remap",
+                              loaded.descriptor["kernel"])
     _assert_same_forest(loaded, rebuilt)
 
 

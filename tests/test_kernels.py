@@ -121,15 +121,18 @@ def test_registry_and_resolve(monkeypatch):
     # Neutralize any ambient backend override (the CI numba job runs
     # this whole suite under REPRO_KERNEL=numba).
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert set(KERNELS) == {"bigint", "wordarray", "numba"}
-    assert DEFAULT_KERNEL == "bigint"
+    assert set(KERNELS) == {"bigint", "wordarray", "numba", "native"}
+    assert DEFAULT_KERNEL == "native"
     for name in AVAILABLE:
         cls = KERNELS[name]
         assert cls.name == name
         assert resolve_kernel(name).name == name
     inst = WordArrayKernel()
     assert resolve_kernel(inst) is inst
-    assert resolve_kernel(None).name == "bigint"
+    # The default is native where it can run, else quietly bigint.
+    assert resolve_kernel(None).name == (
+        "native" if "native" in AVAILABLE else "bigint"
+    )
     with pytest.raises(CountingError, match="registered backends"):
         resolve_kernel("avx512")
     # The unknown-kernel error names both the registry and what can
@@ -141,10 +144,11 @@ def test_registry_and_resolve(monkeypatch):
 def test_env_var_overrides_default(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "wordarray")
     assert resolve_kernel(None).name == "wordarray"
+    default = DEFAULT_KERNEL if DEFAULT_KERNEL in AVAILABLE else "bigint"
     monkeypatch.setenv(KERNEL_ENV, "")
-    assert resolve_kernel(None).name == DEFAULT_KERNEL
+    assert resolve_kernel(None).name == default
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert resolve_kernel(None).name == DEFAULT_KERNEL
+    assert resolve_kernel(None).name == default
 
 
 def test_availability_reports_why():
