@@ -17,10 +17,14 @@ membership changes are all caught (see :func:`dirty_roots`).
 
 :func:`apply_edits` computes that dirty set for a whole batch, re-runs
 the pivot recursion for only those roots through the existing
-structure/kernel stack, and patches the forest's flat leaf arrays in
-place (dirty roots' slices are tombstoned and the arrays compacted
-with the replacement leaves, preserving root order) — bit-identical to
-a from-scratch rebuild over the same rank, at a fraction of the work.
+structure/kernel stack (one compiled call for the whole set on the
+``native`` kernel), and patches the forest's flat leaf arrays in place
+(each array loses the dirty roots' old slices and gains their new ones
+where those roots sort, preserving root order) — bit-identical to a
+from-scratch rebuild over the same rank, at a fraction of the work.
+The edited graph and DAG are spliced the same way: only the touched
+CSR rows change, so an apply costs array copies plus work in the size
+of the batch and the dirty roots, never a rebuild.
 
 **Edit model.**  A batch is a sequence of ``("+"|"-", u, v)`` records
 applied in order; the batch's *net* effect against the current graph
@@ -50,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,7 +67,6 @@ from repro.errors import (
     KernelFaultError,
     MemoryBudgetExceededError,
 )
-from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -155,6 +158,12 @@ def edit_graph(
     removed (pairs normalized ``u < v``; ``adds`` may grow the vertex
     set).  The input graph is untouched — CSR graphs stay immutable;
     *this* is the sanctioned mutation path.
+
+    Only the touched rows change: deleted and inserted entries are
+    spliced in at their sorted positions, so the cost is a copy of the
+    arrays plus work proportional to the batch and the touched rows.
+    ``adds`` may repeat, restate present edges or hold self loops (all
+    no-ops); deleting an absent edge raises.
     """
     if graph.directed:
         raise CountingError("edit_graph expects an undirected graph")
@@ -167,19 +176,120 @@ def edit_graph(
                 f"num_vertices={num_vertices} smaller than required {n}"
             )
         n = int(num_vertices)
-    pairs = graph.edge_array()
+    # Edges are keyed u * n + v with u < v.
+    gone = np.zeros(0, dtype=np.int64)
     if dels:
-        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
         drop = np.array([u * n + v for u, v in dels], dtype=np.int64)
-        missing = ~np.isin(drop, keys)
+        missing = ~_has_edge_keys(graph, drop, n)
         if missing.any():
             bad = [dels[i] for i in np.flatnonzero(missing)]
             raise CountingError(f"cannot delete absent edges {bad}")
-        pairs = pairs[~np.isin(keys, drop)]
+        gone = np.unique(drop)
+    new = np.zeros(0, dtype=np.int64)
     if adds:
-        extra = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
-        pairs = np.concatenate((pairs, extra), axis=0)
-    return from_edge_array(pairs, num_vertices=n)
+        pairs = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
+        if pairs.min() < 0:
+            raise GraphFormatError("negative vertex id in edge array")
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        # A deleted edge inserted again stays; a present one is a no-op.
+        gone = gone[~np.isin(gone, keys)]
+        new = keys[~_has_edge_keys(graph, keys, n)]
+    indptr, indices = _splice_rows(
+        graph.indptr, graph.indices, n,
+        _both_ways(gone // n, gone % n), _both_ways(new // n, new % n),
+    )
+    return CSRGraph(indptr, indices, validate=False)
+
+
+def _row_entries(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every adjacency entry of ``rows`` (vertex ids), row after row:
+    each entry's index into ``rows`` and its position in the CSR's
+    ``indices``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+    first = np.cumsum(lens) - lens
+    at = np.arange(owner.size, dtype=np.int64) - first[owner] + starts[owner]
+    return owner, at
+
+
+def _locate(
+    indptr: np.ndarray, indices: np.ndarray, src: np.ndarray,
+    dst: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``dst`` sits in the sorted row ``src``: its position
+    in ``indices`` (the insertion point when absent) and whether it is
+    there.  Costs the touched rows, not the graph."""
+    n = indptr.size - 1
+    rows = np.unique(src)
+    owner, at = _row_entries(indptr, rows)
+    # Row-major keys of the touched entries are sorted: rows ascend and
+    # each row is sorted.
+    keys = owner * n + indices[at]
+    j = np.searchsorted(rows, src)
+    want = j * n + dst
+    i = np.searchsorted(keys, want)
+    found = i < keys.size
+    found[found] = keys[i[found]] == want[found]
+    return indptr[src] + (i - np.searchsorted(owner, j)), found
+
+
+def _has_edge_keys(graph: CSRGraph, keys: np.ndarray, n: int) -> np.ndarray:
+    """Whether each key ``u * n + v`` names an edge ``u < v`` of
+    ``graph`` (``n`` >= its vertex count)."""
+    if n == 0 or keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    u, v = keys // n, keys % n
+    ok = (u >= 0) & (u < v) & (v < graph.num_vertices)
+    ok[ok] = _locate(graph.indptr, graph.indices, u[ok], v[ok])[1]
+    return ok
+
+
+def _both_ways(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency entries ``u -> v`` and ``v -> u``."""
+    return np.concatenate((u, v)), np.concatenate((v, u))
+
+
+def _splice_rows(
+    indptr: np.ndarray, indices: np.ndarray, n: int,
+    drop: tuple[np.ndarray, np.ndarray], put: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR grown to ``n`` vertices, with the entries ``drop``
+    (``(src, dst)``, all present) removed and ``put`` (all absent)
+    inserted, every row kept sorted.  Returns new arrays."""
+    indptr = np.concatenate(
+        (indptr, np.full(n + 1 - indptr.size, indptr[-1], dtype=np.int64))
+    )
+    src, dst = drop
+    indices = np.delete(indices, _locate(indptr, indices, src, dst)[0])
+    indptr[1:] -= np.cumsum(np.bincount(src, minlength=n))
+    src, dst = put
+    # Equal insertion points keep the given order, so sort by (src, dst).
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indices = np.insert(indices, _locate(indptr, indices, src, dst)[0], dst)
+    indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
+    return indptr, indices
+
+
+def _edit_dag(dag: CSRGraph, rank: np.ndarray, adds, dels) -> CSRGraph:
+    """``dag`` after the net batch ``adds`` / ``dels``, each edge
+    oriented from its lower-ranked end: the DAG
+    :func:`~repro.ordering.directionalize.directionalize` gives for the
+    edited graph under ``rank`` (which covers the grown vertex set)."""
+
+    def oriented(pairs) -> tuple[np.ndarray, np.ndarray]:
+        p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        low = rank[p[:, 0]] < rank[p[:, 1]]
+        return np.where(low, p[:, 0], p[:, 1]), np.where(low, p[:, 1], p[:, 0])
+
+    indptr, indices = _splice_rows(
+        dag.indptr, dag.indices, rank.size, oriented(dels), oriented(adds)
+    )
+    return CSRGraph(indptr, indices, directed=True, validate=False)
 
 
 def extend_rank(rank: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -268,17 +378,17 @@ def dirty_roots(
             f"rank has shape {rank.shape}, expected "
             f"({new_graph.num_vertices},)"
         )
-    dirty = set(range(old_graph.num_vertices, new_graph.num_vertices))
-    for u, v in list(adds) + list(dels):
-        for g in (old_graph, new_graph):
-            for w in (u, v):
-                if w >= g.num_vertices:
-                    continue
-                nbrs = g.neighbors(w)
-                if nbrs.size:
-                    below = nbrs[rank[nbrs] < rank[w]]
-                    dirty.update(int(r) for r in below)
-    return np.array(sorted(dirty), dtype=np.int64)
+    ends = np.unique(
+        np.asarray([*adds, *dels], dtype=np.int64).reshape(-1)
+    )
+    found = [np.arange(old_graph.num_vertices, new_graph.num_vertices,
+                       dtype=np.int64)]
+    for g in (old_graph, new_graph):
+        w = ends[ends < g.num_vertices]
+        owner, at = _row_entries(g.indptr, w)
+        nbrs = g.indices[at]
+        found.append(nbrs[rank[nbrs] < rank[w][owner]])
+    return np.unique(np.concatenate(found))
 
 
 def edits_digest(
@@ -345,8 +455,11 @@ class EditReport:
 
 
 def _resolve_inputs(forest, graph, ordering):
-    """The (graph, rank) pair the edits apply against: explicit
-    arguments win, else whatever the build bound to the forest."""
+    """The ``(graph, rank, dag)`` the edits apply against: explicit
+    arguments win, else whatever the build bound to the forest.
+    ``dag`` is the bound DAG of ``graph`` under ``rank`` when both come
+    from the binding, else ``None``."""
+    dag = forest.dag if graph is None and ordering is None else None
     if graph is None:
         graph = forest.graph
     if graph is None:
@@ -382,7 +495,100 @@ def _resolve_inputs(forest, graph, ordering):
             f"{expect!r} — edits must apply against the forest's own "
             "graph"
         )
-    return graph, rank
+    return graph, rank, dag
+
+
+class _Leaves(NamedTuple):
+    """Flat leaves of consecutive roots, root after root: ``counts``
+    leaves per root, then per leaf its held / pivot set sizes and
+    (unless ``None``) the held / pivot ids back to back."""
+
+    counts: np.ndarray
+    held_n: np.ndarray
+    pivot_n: np.ndarray
+    held_members: np.ndarray | None
+    pivot_members: np.ndarray | None
+
+
+def _flatten(per_root: list[list], members: bool) -> _Leaves:
+    """:func:`~repro.counting.forest._collect_root` leaf tuples
+    ``(h, p, h_ids, p_ids)`` of consecutive roots, as one
+    :class:`_Leaves`."""
+    leaves = [leaf for root in per_root for leaf in root]
+
+    def ints(values) -> np.ndarray:
+        return np.fromiter(values, dtype=np.int32)
+
+    return _Leaves(
+        np.array([len(root) for root in per_root], dtype=np.int64),
+        ints(h for h, _, _, _ in leaves),
+        ints(p for _, p, _, _ in leaves),
+        ints(x for _, _, ids, _ in leaves for x in ids) if members else None,
+        ints(x for _, _, _, ids in leaves for x in ids) if members else None,
+    )
+
+
+def _tuples(leaves: _Leaves) -> list[list]:
+    """One root's flat leaves as ``[h, p, h_ids, p_ids]`` lists (the
+    checkpoint form; ids ``None`` without members)."""
+    held = leaves.held_n.tolist()
+    piv = leaves.pivot_n.tolist()
+    if leaves.held_members is None:
+        return [[h, p, None, None] for h, p in zip(held, piv)]
+    hm = leaves.held_members.tolist()
+    pm = leaves.pivot_members.tolist()
+    out, a, b = [], 0, 0
+    for h, p in zip(held, piv):
+        out.append([h, p, hm[a:a + h], pm[b:b + p]])
+        a += h
+        b += p
+    return out
+
+
+def _concat(parts: list[_Leaves], members: bool) -> _Leaves:
+    def cat(arrays, dtype) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype=dtype), *arrays])
+
+    return _Leaves(
+        cat((x.counts for x in parts), np.int64),
+        cat((x.held_n for x in parts), np.int32),
+        cat((x.pivot_n for x in parts), np.int32),
+        cat((x.held_members for x in parts), np.int32) if members else None,
+        cat((x.pivot_members for x in parts), np.int32) if members else None,
+    )
+
+
+def _collect_batch(struct, roots: np.ndarray, members: bool):
+    """Re-run the unpruned recursion for ``roots`` (sorted int64).
+
+    Returns ``(leaves, work, memory, counters)``: the roots' flat
+    leaves, each root's work units and modeled footprint, and their
+    counters folded in root order.  A kernel that walks roots natively
+    does the whole batch in one call; otherwise
+    :func:`~repro.counting.forest._collect_root` runs root by root.
+    """
+    from repro.counting.forest import _collect_root
+    from repro.counting.sct import _fold_walk
+
+    ctr = Counters()
+    kern = struct.kernel
+    if kern.walks_roots and struct.charges(0, 0.0) is not None:
+        got = kern.collect_roots(struct.graph, struct.dag, roots, members)
+        _, words, memory = struct.estimate_many(roots)
+        work = _fold_walk(ctr, got, words, memory, struct.lookup_weight)
+        leaves = _Leaves(got.column("leaves"), got.held_n, got.pivot_n,
+                         got.held_members, got.pivot_members)
+        return leaves, work, memory.astype(np.float64), ctr
+    per_root = []
+    work = np.zeros(roots.size)
+    memory = np.zeros(roots.size)
+    for i, v in enumerate(roots.tolist()):
+        c = Counters()
+        per_root.append(_collect_root(struct, v, c, record_members=members))
+        work[i] = c.work
+        memory[i] = c.peak_subgraph_bytes
+        ctr.merge(c)
+    return _flatten(per_root, members), work, memory, ctr
 
 
 def _recompute_roots(
@@ -396,201 +602,137 @@ def _recompute_roots(
 ):
     """Re-run the pivot recursion for the dirty roots.
 
-    Returns ``(per_root, totals, kernel_name, degraded_from)`` where
-    ``per_root`` maps root id -> ``(leaves, work, memory)``.  Mirrors
+    Returns ``(leaves, work, memory, totals, kernel_name,
+    degraded_from)``: the dirty roots' flat :class:`_Leaves`, their
+    work and memory model entries (aligned with ``dirty``), and the
+    counters of the recomputation.  Without a controller the whole
+    dirty set is one batch.  With one, roots run one at a time under
     the build loop's controller cooperation — deadline/node budgets,
     checkpoint/resume and kernel-fault fallback — at **dirty-root**
     granularity: a killed ``apply_edits`` resumes recomputation where
     it stopped, and the forest arrays are only patched once every
     dirty root has landed (all-or-nothing).
     """
-    from repro.counting.forest import _collect_root
-
-    record_members = forest.has_members
+    members = forest.has_members
     struct = STRUCTURES[descriptor["structure"]](
         graph, dag, kernel=descriptor["kernel"]
     )
+    ctl = controller
+    if ctl is None:
+        leaves, work, memory, totals = _collect_batch(struct, dirty, members)
+        obs.note_memory(totals.peak_subgraph_bytes)
+        return leaves, work, memory, totals, struct.kernel.name, None
+
     totals = Counters()
     degraded_from: str | None = None
-    per_root: dict[int, tuple[list, float, float]] = {}
-    start = 0
-    ctl = controller
+    # Per finished root, in dirty order: (root, leaves, work, memory).
+    done: list[tuple[int, _Leaves, float, float]] = []
 
-    if ctl is not None:
-        def snapshot() -> dict:
-            done = sorted(per_root)
-            return {
-                "next_index": len(done),
-                "roots": done,
-                "leaves": [
-                    [
-                        [h, p,
-                         None if h_ids is None else list(h_ids),
-                         None if p_ids is None else list(p_ids)]
-                        for h, p, h_ids, p_ids in per_root[r][0]
-                    ]
-                    for r in done
-                ],
-                "work": [per_root[r][1] for r in done],
-                "memory": [per_root[r][2] for r in done],
-                "counters": totals.as_dict(),
-                "degraded_from": degraded_from,
-            }
+    def snapshot() -> dict:
+        return {
+            "next_index": len(done),
+            "roots": [r for r, _, _, _ in done],
+            "leaves": [_tuples(leaves) for _, leaves, _, _ in done],
+            "work": [work for _, _, work, _ in done],
+            "memory": [memory for _, _, _, memory in done],
+            "counters": totals.as_dict(),
+            "degraded_from": degraded_from,
+        }
 
-        if ctl.started:
-            state = None
-        else:
-            state = ctl.begin(descriptor, snapshot)
-        if state is not None:
-            start = int(state["next_index"])
-            for r, leaves, work, memory in zip(
-                state["roots"], state["leaves"],
-                state["work"], state["memory"],
-            ):
-                per_root[int(r)] = (
-                    [
-                        (int(h), int(p),
-                         None if h_ids is None else tuple(h_ids),
-                         None if p_ids is None else tuple(p_ids))
-                        for h, p, h_ids, p_ids in leaves
-                    ],
-                    float(work), float(memory),
-                )
-            totals = Counters.from_dict(state["counters"])
-            degraded_from = state.get("degraded_from")
+    state = None if ctl.started else ctl.begin(descriptor, snapshot)
+    if state is not None:
+        for r, leaves, work, memory in zip(
+            state["roots"], state["leaves"], state["work"], state["memory"]
+        ):
+            done.append((int(r), _flatten([leaves], members),
+                         float(work), float(memory)))
+        totals = Counters.from_dict(state["counters"])
+        degraded_from = state.get("degraded_from")
 
-    from contextlib import nullcontext
-
-    with (ctl.guard() if ctl is not None else nullcontext()):
-        for i in range(start, dirty.size):
+    with ctl.guard():
+        for i in range(len(done), dirty.size):
             v = int(dirty[i])
-            ctr = Counters()
-            if ctl is None:
-                leaves = _collect_root(
-                    struct, v, ctr, record_members=record_members
+            try:
+                ctl.tick()
+                leaves, _, _, ctr = _collect_batch(struct, dirty[i:i + 1],
+                                                   members)
+            except MemoryError as exc:
+                raise MemoryBudgetExceededError(
+                    f"allocation failure at root {v}",
+                    spent=ctl.spent_snapshot(),
+                ) from exc
+            except KernelFaultError:
+                if not ctl.degrade or struct.kernel.name == "bigint":
+                    raise
+                fallen = struct.kernel.name
+                obs.degradation(
+                    "kernel_fallback", engine="sct-forest-edits",
+                    root=v, from_kernel=fallen,
                 )
-            else:
-                try:
-                    ctl.tick()
-                    leaves = _collect_root(
-                        struct, v, ctr, record_members=record_members
-                    )
-                except MemoryError as exc:
-                    raise MemoryBudgetExceededError(
-                        f"allocation failure at root {v}",
-                        spent=ctl.spent_snapshot(),
-                    ) from exc
-                except KernelFaultError:
-                    if not ctl.degrade or struct.kernel.name == "bigint":
-                        raise
-                    fallen = struct.kernel.name
-                    obs.degradation(
-                        "kernel_fallback", engine="sct-forest-edits",
-                        root=v, from_kernel=fallen,
-                    )
-                    struct = type(struct)(graph, dag, kernel="bigint")
-                    descriptor["kernel"] = "bigint"
-                    if degraded_from is None:
-                        degraded_from = fallen
-                    ctr = Counters()
-                    leaves = _collect_root(
-                        struct, v, ctr, record_members=record_members
-                    )
-                ctl.charge_nodes(ctr.function_calls)
-                ctl.note_memory(ctr.peak_subgraph_bytes)
-            per_root[v] = (leaves, ctr.work, ctr.peak_subgraph_bytes)
+                struct = type(struct)(graph, dag, kernel="bigint")
+                descriptor["kernel"] = "bigint"
+                if degraded_from is None:
+                    degraded_from = fallen
+                leaves, _, _, ctr = _collect_batch(struct, dirty[i:i + 1],
+                                                   members)
+            ctl.charge_nodes(ctr.function_calls)
+            ctl.note_memory(ctr.peak_subgraph_bytes)
+            done.append((v, leaves, ctr.work, ctr.peak_subgraph_bytes))
             totals.merge(ctr)
             obs.note_memory(ctr.peak_subgraph_bytes)
-            if ctl is not None:
-                ctl.complete_root(v)
-    return per_root, totals, struct.kernel.name, degraded_from
-
-
-def _patch_arrays(forest, dirty: np.ndarray, per_root: dict) -> None:
-    """Tombstone the dirty roots' leaf slices and compact the flat
-    arrays with the replacement leaves, preserving root order (roots
-    are non-decreasing in the arrays, so each root's leaves are one
-    contiguous slice and the rebuild-identical layout is a pure
-    segment splice)."""
-    roots = forest.roots
-    members = forest.has_members
-    lo = np.searchsorted(roots, dirty, side="left")
-    hi = np.searchsorted(roots, dirty, side="right")
-
-    hn_chunks, pn_chunks, root_chunks = [], [], []
-    hm_chunks, pm_chunks = [], []
-    cursor = 0
-    for i, v in enumerate(dirty):
-        a, b = int(lo[i]), int(hi[i])
-        if a > cursor:  # the clean segment before this dirty root
-            hn_chunks.append(forest.held_n[cursor:a])
-            pn_chunks.append(forest.pivot_n[cursor:a])
-            root_chunks.append(forest.roots[cursor:a])
-            if members:
-                hm_chunks.append(
-                    forest.held_members[
-                        forest.held_off[cursor]:forest.held_off[a]
-                    ]
-                )
-                pm_chunks.append(
-                    forest.pivot_members[
-                        forest.pivot_off[cursor]:forest.pivot_off[a]
-                    ]
-                )
-        leaves = per_root[int(v)][0]
-        if leaves:
-            hn_chunks.append(
-                np.array([h for h, _, _, _ in leaves], dtype=np.int32)
-            )
-            pn_chunks.append(
-                np.array([p for _, p, _, _ in leaves], dtype=np.int32)
-            )
-            root_chunks.append(
-                np.full(len(leaves), int(v), dtype=np.int32)
-            )
-            if members:
-                hm_chunks.append(np.array(
-                    [x for _, _, h_ids, _ in leaves for x in h_ids],
-                    dtype=np.int32,
-                ))
-                pm_chunks.append(np.array(
-                    [x for _, _, _, p_ids in leaves for x in p_ids],
-                    dtype=np.int32,
-                ))
-        cursor = b
-    if cursor < forest.num_leaves:
-        hn_chunks.append(forest.held_n[cursor:])
-        pn_chunks.append(forest.pivot_n[cursor:])
-        root_chunks.append(forest.roots[cursor:])
-        if members:
-            hm_chunks.append(
-                forest.held_members[forest.held_off[cursor]:]
-            )
-            pm_chunks.append(
-                forest.pivot_members[forest.pivot_off[cursor]:]
-            )
-
-    forest.held_n = (
-        np.concatenate(hn_chunks) if hn_chunks
-        else np.zeros(0, dtype=np.int32)
+            ctl.complete_root(v)
+    return (
+        _concat([leaves for _, leaves, _, _ in done], members),
+        np.array([work for _, _, work, _ in done], dtype=np.float64),
+        np.array([memory for _, _, _, memory in done], dtype=np.float64),
+        totals, struct.kernel.name, degraded_from,
     )
-    forest.pivot_n = (
-        np.concatenate(pn_chunks) if pn_chunks
-        else np.zeros(0, dtype=np.int32)
-    )
-    forest.roots = (
-        np.concatenate(root_chunks) if root_chunks
-        else np.zeros(0, dtype=np.int32)
-    )
-    if members:
-        forest.held_members = (
-            np.concatenate(hm_chunks) if hm_chunks
-            else np.zeros(0, dtype=np.int32)
-        )
-        forest.pivot_members = (
-            np.concatenate(pm_chunks) if pm_chunks
-            else np.zeros(0, dtype=np.int32)
-        )
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices ``lo[0]:hi[0]``, then ``lo[1]:hi[1]``, ... in one
+    array."""
+    lens = hi - lo
+    return (np.repeat(lo - (np.cumsum(lens) - lens), lens)
+            + np.arange(lens.sum(), dtype=np.int64))
+
+
+def _patch_arrays(forest, dirty: np.ndarray, leaves: _Leaves) -> None:
+    """Replace the dirty roots' leaves with ``leaves``.
+
+    Roots are non-decreasing in the arrays, so each root's leaves (and
+    their members) are one contiguous slice, found by ``searchsorted``,
+    and the rebuild-identical layout is a splice: one ``np.delete`` of
+    the dirty roots' old slices and one ``np.insert`` of the new slices
+    where those roots sort, per array.  The cost is a copy of each
+    array plus work proportional to the dirty roots."""
+    ids = dirty.astype(forest.roots.dtype)
+    first = np.searchsorted(forest.roots, ids, side="left")
+    last = np.searchsorted(forest.roots, ids, side="right")
+    bounds = np.concatenate(([0], np.cumsum(leaves.counts)))
+
+    def splice(old, new, old_off=None, new_off=bounds):
+        a = first if old_off is None else old_off[first]
+        b = last if old_off is None else old_off[last]
+        # Where each dirty root's new slice starts once the old slices
+        # are gone.
+        at = a - np.concatenate(([0], np.cumsum(b - a)[:-1]))
+        return np.insert(np.delete(old, _ranges(a, b)),
+                         np.repeat(at, np.diff(new_off)), new)
+
+    if forest.has_members:
+        for name, off, sizes, new_ids in (
+            ("held_members", forest.held_off, leaves.held_n,
+             leaves.held_members),
+            ("pivot_members", forest.pivot_off, leaves.pivot_n,
+             leaves.pivot_members),
+        ):
+            new_off = np.concatenate(([0], np.cumsum(sizes)))[bounds]
+            setattr(forest, name,
+                    splice(getattr(forest, name), new_ids, off, new_off))
+    forest.held_n = splice(forest.held_n, leaves.held_n)
+    forest.pivot_n = splice(forest.pivot_n, leaves.pivot_n)
+    forest.roots = splice(forest.roots, np.repeat(ids, leaves.counts))
     forest._finalize()
 
 
@@ -618,7 +760,7 @@ def apply_edits(
         )
     if reorder_ratio <= 0:
         raise CountingError("reorder_ratio must be > 0")
-    graph, rank = _resolve_inputs(forest, graph, ordering)
+    graph, rank, dag = _resolve_inputs(forest, graph, ordering)
 
     adds, dels, skipped = normalize_edits(graph, edits)
     report = EditReport(
@@ -664,14 +806,17 @@ def apply_edits(
         else:
             dirty = dirty_roots(graph, new_graph, new_rank, adds, dels)
             report.dirty_roots = dirty
-            new_dag = directionalize(new_graph, new_rank)
+            if dag is None:
+                new_dag = directionalize(new_graph, new_rank)
+            else:
+                new_dag = _edit_dag(dag, new_rank, adds, dels)
             descriptor["graph_fingerprint"] = graph_fingerprint(new_graph)
             descriptor["dag_fingerprint"] = graph_fingerprint(new_dag)
             descriptor["edits_digest"] = edits_digest(adds, dels)
             descriptor["base_graph_fingerprint"] = (
                 forest.descriptor["graph_fingerprint"]
             )
-            per_root, totals, kernel_name, degraded_from = (
+            leaves, work, memory, totals, kernel_name, degraded_from = (
                 _recompute_roots(
                     forest, new_graph, new_dag, dirty,
                     controller=controller, descriptor=descriptor,
@@ -692,10 +837,9 @@ def apply_edits(
                     (forest.per_root_memory, np.zeros(grow))
                 )
                 forest.num_vertices = n_new
-            _patch_arrays(forest, dirty, per_root)
-            for v, (_, work, memory) in per_root.items():
-                forest.per_root_work[v] = work
-                forest.per_root_memory[v] = memory
+            _patch_arrays(forest, dirty, leaves)
+            forest.per_root_work[dirty] = work
+            forest.per_root_memory[dirty] = memory
             forest.counters.merge(totals)
             forest.descriptor = {
                 k: v for k, v in descriptor.items()

@@ -182,16 +182,19 @@ class SCTForest:
         np.cumsum(self.held_n, out=self.held_off[1:])
         np.cumsum(self.pivot_n, out=self.pivot_off[1:])
         if L:
+            # Pairs are few (|H| + |Π| <= the largest clique), so count
+            # them in a dense (|H|, |Π|) table instead of sorting leaves.
             pmax = int(self.pivot_n.max())
             key = self.held_n.astype(np.int64) * (pmax + 1) + self.pivot_n
-            uniq, inv, mult = np.unique(
-                key, return_inverse=True, return_counts=True
-            )
+            mult = np.bincount(key)
+            uniq = np.flatnonzero(mult)
+            slot = np.zeros(mult.size, dtype=np.int64)
+            slot[uniq] = np.arange(uniq.size)
             self._pairs = [
-                (int(u) // (pmax + 1), int(u) % (pmax + 1), int(m))
-                for u, m in zip(uniq, mult)
+                (u // (pmax + 1), u % (pmax + 1), m)
+                for u, m in zip(uniq.tolist(), mult[uniq].tolist())
             ]
-            self._pair_inv = inv.astype(np.int64)
+            self._pair_inv = slot[key]
         else:
             self._pairs = []
             self._pair_inv = np.zeros(0, dtype=np.int64)
@@ -258,8 +261,9 @@ class SCTForest:
         records; the batch's *net* effect against the bound graph is
         applied (duplicates collapse, insert-then-delete cancels,
         already-satisfied records are skipped).  Only the dirty roots —
-        those whose closed DAG out-neighborhood contains both endpoints
-        of some applied edit, in the old or new graph — are re-run
+        every lower-ranked neighbor of *either* endpoint of an applied
+        edit, in the old and the new graph, plus any grown vertices
+        (see :func:`~repro.counting.dynamic.dirty_roots`) — are re-run
         through the pivot recursion, and the flat leaf arrays are
         patched in place, bit-identical to a from-scratch rebuild under
         the same vertex order (``tests/test_dynamic.py``).

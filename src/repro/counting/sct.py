@@ -95,6 +95,31 @@ def _fold_sum(start: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
+def _fold_walk(totals: Counters, walk, words: np.ndarray,
+               memory: np.ndarray, lookup_weight: float) -> np.ndarray:
+    """Fold a native walk's per-root tallies into ``totals``, as a
+    per-root ``Counters.merge`` loop would (float fields added in root
+    order), charging each root ``words`` build words and ``memory``
+    bytes; returns each root's work units."""
+    col = walk.column
+    scan_branch = col("scan") + col("branch")
+    set_op = (col("edge") + scan_branch).astype(np.float64)
+    lookups = scan_branch * lookup_weight
+    totals.function_calls += int(col("calls").sum())
+    totals.leaves += int(col("leaves").sum())
+    totals.set_op_words = _fold_sum(totals.set_op_words, set_op)
+    totals.index_lookups = _fold_sum(totals.index_lookups, lookups)
+    totals.subgraph_builds += int(set_op.size)
+    totals.build_words = _fold_sum(totals.build_words, words)
+    totals.early_terminations += int(col("early").sum())
+    if set_op.size:
+        totals.max_depth = max(totals.max_depth, int(col("depth").max()))
+        totals.peak_subgraph_bytes = max(
+            totals.peak_subgraph_bytes, int(memory.max())
+        )
+    return set_op + lookups + words
+
+
 @dataclass
 class CountResult:
     """Outcome of one counting run.
@@ -666,7 +691,6 @@ class SCTEngine:
         ``roots``.  A root whose count does not fit in 128 bits is
         recounted by :meth:`_count_root_k`.
         """
-        lw = self.structure.lookup_weight
         total = 0
         for lo in range(0, roots.size, _NATIVE_BATCH):
             batch = roots[lo:lo + _NATIVE_BATCH]
@@ -675,30 +699,14 @@ class SCTEngine:
             walk = self.kernel.walk_roots_k(
                 self.graph, self.dag, batch, k, early_termination
             )
-            col = walk.column
-            scan_branch = col("scan") + col("branch")
-            set_op = (col("edge") + scan_branch).astype(np.float64)
-            lookups = scan_branch * lw
-            work[lo:hi] = set_op + lookups + words
+            work[lo:hi] = _fold_walk(
+                totals, walk, words, mem, self.structure.lookup_weight
+            )
             memory[lo:hi] = mem
             total += walk.total()
             for i in np.flatnonzero(walk.overflow):
                 total += self._count_root_k(
                     int(batch[i]), k, Counters(), early_termination
-                )
-            totals.function_calls += int(col("calls").sum())
-            totals.leaves += int(col("leaves").sum())
-            totals.set_op_words = _fold_sum(totals.set_op_words, set_op)
-            totals.index_lookups = _fold_sum(totals.index_lookups, lookups)
-            totals.subgraph_builds += int(batch.size)
-            totals.build_words = _fold_sum(totals.build_words, words)
-            totals.early_terminations += int(col("early").sum())
-            if batch.size:
-                totals.max_depth = max(
-                    totals.max_depth, int(col("depth").max())
-                )
-                totals.peak_subgraph_bytes = max(
-                    totals.peak_subgraph_bytes, int(mem.max())
                 )
         return total
 

@@ -1,15 +1,19 @@
-"""The ``native`` backend: the whole target-k root walk in compiled C.
+"""The ``native`` backend: whole root walks in compiled C.
 
 Profiling the ``bigint`` backend shows the interpreter spine, not the
 set operations, is the cost of counting: one Python ``rec`` call per
 SCT node.  This backend keeps every big-int kernel op of
-:class:`~repro.kernels.bigint.BigIntKernel` (so forests, dynamic
-updates, per-vertex / per-edge attribution, enumeration and all-k runs
-are unchanged) and adds one batch entry point,
-:meth:`NativeKernel.walk_roots_k`: for an array of roots, one call into
-``native.c`` builds each root's local uint64 rows and runs the target-k
+:class:`~repro.kernels.bigint.BigIntKernel` (so forest builds,
+per-vertex / per-edge attribution, enumeration and all-k runs are
+unchanged) and adds two batch entry points.  For an array of roots, one
+call into ``native.c`` builds each root's local uint64 rows and runs the
 pivot recursion over them, visiting the same tree in the same order as
-the Python walker and returning its exact work tallies per root.
+the Python walker and returning its exact work tallies per root:
+
+* :meth:`NativeKernel.walk_roots_k` counts the k-cliques under each
+  root (the target-k engine);
+* :meth:`NativeKernel.collect_roots` records every leaf of each root's
+  unpruned tree, with optional member ids (dynamic forest updates).
 
 The C source is compiled on first use -- never at ``import repro`` --
 with the host's ``cc`` (or ``gcc``) and ``-O3 -fPIC -shared``, into the
@@ -27,6 +31,7 @@ is unavailable and :func:`repro.kernels.resolve_kernel` falls back to
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
@@ -45,6 +50,7 @@ from repro.kernels.bigint import BigIntKernel
 __all__ = [
     "NativeKernel",
     "NativeLibrary",
+    "RootLeaves",
     "RootWalk",
     "LIBRARY",
     "native_unavailable_reason",
@@ -53,8 +59,8 @@ __all__ = [
 SOURCE = Path(__file__).with_name("native.c")
 CFLAGS = ("-O3", "-fPIC", "-shared")
 
-#: Per-root columns of ``sct_walk_k``'s ``stats`` output; the first
-#: seven are the Python walker's per-root accumulator, in its order.
+#: Per-root columns of the walkers' ``stats`` output; the first seven
+#: are the Python walker's per-root accumulator, in its order.
 COLUMNS = ("calls", "leaves", "early", "scan", "branch", "depth", "edge",
            "d", "flags", "count_lo", "count_hi")
 _FLAGS, _LO, _HI = (COLUMNS.index(c) for c in ("flags", "count_lo",
@@ -201,8 +207,6 @@ class NativeLibrary:
 
 
 def _open(path: Path):
-    import ctypes
-
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
@@ -219,6 +223,13 @@ def _open(path: Path):
         ptr, ptr, ptr, i64, i64, ptr, ptr,
     ]
     lib.sct_walk_k.restype = ctypes.c_int
+    lib.sct_collect.argtypes = [
+        i64, ptr, i64, ptr, ptr, ptr, ptr, ctypes.c_int32, ptr, ptr, ptr,
+        ptr,
+    ]
+    lib.sct_collect.restype = ctypes.c_int
+    lib.sct_free.argtypes = [ptr]
+    lib.sct_free.restype = None
     return lib
 
 
@@ -282,6 +293,35 @@ class RootWalk:
         return total
 
 
+@dataclass(frozen=True)
+class RootLeaves(RootWalk):
+    """Results of one :meth:`NativeKernel.collect_roots` call: the
+    per-root tallies (as :class:`RootWalk`, the count columns 0) plus
+    every leaf of every root, root after root, each root's leaves in
+    DFS order (root ``i`` owns ``column("leaves")[i]`` of them).
+
+    ``held_n`` / ``pivot_n`` are each leaf's held and pivot set sizes
+    (int32); ``held_members`` / ``pivot_members`` the leaves' held and
+    pivot global ids back to back (int32; held ids start with the
+    root), or ``None`` when members were not recorded.
+    """
+
+    held_n: np.ndarray
+    pivot_n: np.ndarray
+    held_members: np.ndarray | None
+    pivot_members: np.ndarray | None
+
+
+def _copy_out(address: int, size: int) -> np.ndarray:
+    """A copy of the ``size`` int32 at ``address`` (``sct_collect``
+    output; NULL when empty)."""
+    if not address:
+        return np.zeros(0, dtype=np.int32)
+    return np.ctypeslib.as_array(
+        (ctypes.c_int32 * size).from_address(address)
+    ).copy()
+
+
 class _Bound(NamedTuple):
     """``sct_walk_k`` arguments fixed by one ``(graph, dag, k)``."""
 
@@ -295,7 +335,7 @@ class _Bound(NamedTuple):
 
 
 class NativeKernel(BigIntKernel):
-    """Big-int kernel ops plus the compiled target-k root walker."""
+    """Big-int kernel ops plus the compiled root walkers."""
 
     name = "native"
     walks_roots = True
@@ -306,6 +346,14 @@ class NativeKernel(BigIntKernel):
         # concurrent callers off the shared position scratch.
         self._lock = threading.Lock()
         self._bound: _Bound | None = None
+        self._pos = np.zeros(0, dtype=np.int32)
+
+    def _scratch(self, n: int) -> np.ndarray:
+        """The position scratch for ``n`` vertices (all -1 between
+        calls; call with the lock held)."""
+        if self._pos.size != n:
+            self._pos = np.full(n, -1, dtype=np.int32)
+        return self._pos
 
     def _bind(self, graph, dag, k: int) -> _Bound:
         """The ``sct_walk_k`` arguments fixed by ``(graph, dag, k)``,
@@ -328,12 +376,8 @@ class NativeKernel(BigIntKernel):
         self._lib.sct_binomial_table(
             nmax, rmax, lo.ctypes.data, hi.ctypes.data, sat.ctypes.data
         )
-        if b is not None and b.pos.size == n:
-            pos = b.pos
-        else:
-            pos = np.full(n, -1, dtype=np.int32)
-        head = (n, graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                dag.indptr.ctypes.data, dag.indices.ctypes.data, k)
+        pos = self._scratch(n)
+        head = (*_csr_args(graph, dag), k)
         tail = (lo.ctypes.data, hi.ctypes.data, sat.ctypes.data, nmax,
                 rmax + 1, pos.ctypes.data)
         self._bound = _Bound(graph, dag, k, pos, head, tail, (lo, hi, sat))
@@ -356,10 +400,57 @@ class NativeKernel(BigIntKernel):
                 roots.size, roots.ctypes.data, *b.head,
                 1 if early_termination else 0, *b.tail, stats.ctypes.data,
             )
-        if rc == -1:
-            raise MemoryError("native walker: out of memory")
-        if rc != 0:
-            raise CountingError(
-                f"native walker failed: {_ERRORS.get(rc, rc)}"
-            )
+        _raise_for(rc)
         return RootWalk(stats)
+
+    def collect_roots(self, graph, dag, roots: np.ndarray,
+                      members: bool = True) -> RootLeaves:
+        """Build every root in ``roots`` and record its leaves.
+
+        Runs the unpruned pivot recursion (no k, no cuts) that
+        :func:`repro.counting.forest._collect_root` runs on ``bigint``:
+        the same local ids, pivot choices, leaf order, held/pivot ids
+        and tallies (no early exits; the count columns stay 0).
+        ``members=False`` records only the set sizes.
+        """
+        if dag.num_vertices != graph.num_vertices:
+            raise CountingError("collect_roots: bad graph pair")
+        roots = np.ascontiguousarray(roots, dtype=np.int64)
+        stats = np.empty((roots.size, len(COLUMNS)), dtype=np.int64)
+        out = np.zeros(4, dtype=np.uintp)
+        lens = np.zeros(4, dtype=np.int64)
+        with self._lock:
+            pos = self._scratch(graph.num_vertices)
+            rc = self._lib.sct_collect(
+                roots.size, roots.ctypes.data, *_csr_args(graph, dag),
+                1 if members else 0, pos.ctypes.data, stats.ctypes.data,
+                out.ctypes.data, lens.ctypes.data,
+            )
+        _raise_for(rc)
+        try:
+            held_n, pivot_n, held_ids, pivot_ids = (
+                _copy_out(a, m) for a, m in zip(out.tolist(), lens.tolist())
+            )
+        finally:
+            for address in out.tolist():
+                if address:
+                    self._lib.sct_free(address)
+        return RootLeaves(
+            stats, held_n, pivot_n,
+            held_ids if members else None,
+            pivot_ids if members else None,
+        )
+
+
+def _csr_args(graph, dag) -> tuple:
+    """``n`` and the CSR pointers the C walkers take."""
+    return (graph.num_vertices, graph.indptr.ctypes.data,
+            graph.indices.ctypes.data, dag.indptr.ctypes.data,
+            dag.indices.ctypes.data)
+
+
+def _raise_for(rc: int) -> None:
+    if rc == -1:
+        raise MemoryError("native walker: out of memory")
+    if rc != 0:
+        raise CountingError(f"native walker failed: {_ERRORS.get(rc, rc)}")

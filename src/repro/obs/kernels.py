@@ -132,14 +132,26 @@ class InstrumentedKernel(BitsetKernel):
     # ------------------------------------------------------ root walks
     def walk_roots_k(self, graph, dag, roots, k, early_termination=True):
         """Forward a native root walk and publish the calls the scalar
-        spine would have made for it, from the walk's exact tallies:
-        one ``alloc_rows`` per built root (plus ``load_rows`` when it
-        is non-empty), one ``pivot_select`` per interior node and one
-        ``intersect_count`` per branch vertex.  Overflowed roots are
-        left out: the engine recounts them through this wrapper."""
+        spine would have made for it.  Overflowed roots are left out:
+        the engine recounts them through this wrapper."""
         walk = self.inner.walk_roots_k(graph, dag, roots, k,
                                        early_termination)
-        ok = ~walk.overflow
+        self._publish_walk(walk, ~walk.overflow)
+        return walk
+
+    def collect_roots(self, graph, dag, roots, members=True):
+        """Forward a native leaf collection and publish the calls the
+        scalar spine would have made for it."""
+        got = self.inner.collect_roots(graph, dag, roots, members)
+        self._publish_walk(got, np.ones(len(got.stats), dtype=bool))
+        return got
+
+    def _publish_walk(self, walk, ok: np.ndarray) -> None:
+        """Count the scalar spine's calls for the ``ok`` roots of a
+        native walk, from its exact tallies: one ``alloc_rows`` per
+        built root (plus ``load_rows`` when it is non-empty), one
+        ``pivot_select`` per interior node and one ``intersect_count``
+        per branch vertex."""
         built = walk.built & ok
         interior = (walk.column("calls") - walk.column("leaves")
                     - walk.column("early"))
@@ -149,7 +161,6 @@ class InstrumentedKernel(BitsetKernel):
         )
         self._c_ps.inc(int(interior[ok].sum()))
         self._c_ic.inc(int(walk.column("branch")[ok].sum()))
-        return walk
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<InstrumentedKernel {self.inner!r}>"

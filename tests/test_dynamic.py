@@ -30,6 +30,7 @@ from repro.core import PivotScaleConfig
 from repro.counting import brute_force_count
 from repro.counting.dynamic import (
     EditReport,
+    _edit_dag,
     apply_edits,
     dag_rank,
     dirty_roots,
@@ -57,6 +58,7 @@ from repro.errors import (
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
+from repro.kernels import kernel_availability
 from repro.ordering import core_ordering
 from repro.ordering.directionalize import directionalize
 from repro.runtime import FaultPlan, FaultSpec, RunController
@@ -74,8 +76,11 @@ from tests.corpus import ordering as corpus_ordering
 
 # The two always-available backends (numba is an optional extra whose
 # resolve falls back to wordarray; exercising it here would double-run
-# wordarray under a warning).
-BACKENDS = ("bigint", "wordarray")
+# wordarray under a warning), plus the compiled one where it builds.
+NATIVE = kernel_availability()["native"] is None
+BACKENDS = ("bigint", "wordarray") + (("native",) if NATIVE else ())
+needs_native = pytest.mark.skipif(not NATIVE,
+                                  reason="native backend unavailable")
 
 
 def _assert_same_forest(a: SCTForest, b: SCTForest) -> None:
@@ -230,6 +235,156 @@ def test_noop_batches_leave_arrays_and_counters_alone(pairs):
     assert forest.counters.as_dict() == counters
     assert forest.descriptor == descriptor
     assert forest._edits_since_reorder == 0
+
+
+# ----------------------------------------------------------------------
+# Splices against the rebuilds they replace
+# ----------------------------------------------------------------------
+def _rebuilt_edit_graph(graph, adds, dels=(), num_vertices=None):
+    """The edge-list rebuild ``edit_graph`` splices instead of: drop
+    the deleted keys from the edge array, append the inserts, and
+    rebuild through ``from_edge_array``."""
+    n = graph.num_vertices
+    if adds:
+        n = max(n, max(max(u, v) for u, v in adds) + 1)
+    if num_vertices is not None:
+        n = num_vertices
+    pairs = graph.edge_array()
+    if dels:
+        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+        drop = np.array([u * n + v for u, v in dels], dtype=np.int64)
+        missing = ~np.isin(drop, keys)
+        if missing.any():
+            bad = [dels[i] for i in np.flatnonzero(missing)]
+            raise CountingError(f"cannot delete absent edges {bad}")
+        pairs = pairs[~np.isin(keys, drop)]
+    if adds:
+        extra = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
+        pairs = np.concatenate((pairs, extra), axis=0)
+    return from_edge_array(pairs, num_vertices=n)
+
+
+def _set_dirty_roots(old, new, rank, adds, dels):
+    """The per-edit set-union form of the dirty-root rule."""
+    dirty = set(range(old.num_vertices, new.num_vertices))
+    for u, v in list(adds) + list(dels):
+        for g in (old, new):
+            for w in (u, v):
+                if w < g.num_vertices:
+                    nbrs = g.neighbors(w)
+                    dirty.update(int(r) for r in nbrs[rank[nbrs] < rank[w]])
+    return sorted(dirty)
+
+
+_HYP_N = _HYP_G.num_vertices
+_hyp_ids = st.integers(0, _HYP_N + 3)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CountingError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    adds=st.lists(st.tuples(_hyp_ids, _hyp_ids), max_size=6),
+    dels=st.lists(st.sampled_from(_PRESENT), max_size=4),
+    strays=st.lists(st.tuples(st.integers(0, _HYP_N), _hyp_ids),
+                    max_size=2),
+    extra=st.integers(0, 2),
+)
+def test_spliced_edit_graph_matches_rebuild(adds, dels, strays, extra):
+    """Raw ``edit_graph`` input — repeats, self loops, present inserts,
+    re-inserted deletes, vertex growth, absent or reversed deletes —
+    gives the rebuild's exact CSR or its exact error."""
+    dels = dels + strays
+    grow = _HYP_N + 4 + extra
+    for num_vertices in (None, grow):
+        want = _outcome(_rebuilt_edit_graph, _HYP_G, adds, dels,
+                        num_vertices)
+        got = _outcome(edit_graph, _HYP_G, adds, dels, num_vertices)
+        assert got == want
+        if isinstance(got, CSRGraph):
+            assert got.fingerprint() == want.fingerprint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from("+-"), _hyp_ids, _hyp_ids).filter(
+        lambda e: e[1] != e[2]
+    ),
+    min_size=1, max_size=8,
+))
+def test_spliced_dag_and_dirty_roots_match_rebuild(edits):
+    """The post-edit DAG spliced from the bound one equals
+    ``directionalize`` of the edited graph, and the vectorized dirty
+    set equals the per-edit set union."""
+    rank = _HYP_BASE.rank
+    adds, dels, _ = normalize_edits(_HYP_G, edits)
+    new = edit_graph(_HYP_G, adds, dels)
+    new_rank = extend_rank(rank, new.num_vertices)
+    spliced = _edit_dag(_HYP_BASE.dag, new_rank, adds, dels)
+    assert spliced.fingerprint() == directionalize(new, new_rank).fingerprint()
+    dirty = dirty_roots(_HYP_G, new, new_rank, adds, dels)
+    assert dirty.dtype == np.int64
+    assert dirty.tolist() == _set_dirty_roots(_HYP_G, new, new_rank,
+                                              adds, dels)
+
+
+def test_bound_dag_is_spliced_unbound_is_rebuilt(tmp_path, g, monkeypatch):
+    """A forest bound by its build splices its DAG; one loaded from
+    ``.npz`` (no bound DAG) falls back to ``directionalize``."""
+    import repro.counting.dynamic as dynamic
+
+    calls = []
+    real = dynamic.directionalize
+    monkeypatch.setattr(dynamic, "directionalize",
+                        lambda *a: calls.append(a) or real(*a))
+    o = core_ordering(g)
+    forest = build_forest(g, o)
+    forest.apply_edits([("+", 0, 9), ("-", *map(int, g.edge_array()[0]))])
+    assert calls == []
+    path = tmp_path / "f.npz"
+    build_forest(g, o).save(path)
+    loaded = load_forest(path)
+    loaded.apply_edits([("+", 0, 9)], graph=g, ordering=o)
+    assert len(calls) == 1
+    assert forest.dag == directionalize(forest.graph, forest.rank)
+
+
+@needs_native
+@pytest.mark.parametrize("members", [True, False])
+@pytest.mark.parametrize("name,graph", GRAPHS, ids=IDS)
+def test_native_apply_edits_matches_bigint(name, graph, members):
+    """The compiled recompute patches the same forest as the Python
+    walker, counters and reports included."""
+    o = corpus_ordering(name, graph)
+    forests = {
+        kernel: SCTForest.build(graph, o, "remap", kernel, members=members)
+        for kernel in ("bigint", "native")
+    }
+    for batch in edit_stream(name, graph):
+        reports = {k: f.apply_edits(batch) for k, f in forests.items()}
+        nat, ref = forests["native"], forests["bigint"]
+        assert nat.descriptor == {**ref.descriptor, "kernel": "native"}
+        _assert_same_forest(nat, SCTForest.build(
+            reports["native"].graph, nat.rank, "remap", "native",
+            members=members,
+        ))
+        assert np.array_equal(nat.held_n, ref.held_n)
+        assert np.array_equal(nat.roots, ref.roots)
+        if members:
+            assert np.array_equal(nat.held_members, ref.held_members)
+            assert np.array_equal(nat.pivot_members, ref.pivot_members)
+        assert np.array_equal(nat.per_root_work, ref.per_root_work)
+        assert np.array_equal(nat.per_root_memory, ref.per_root_memory)
+        assert nat.counters.as_dict() == ref.counters.as_dict()
+        assert (reports["native"].counters.as_dict()
+                == reports["bigint"].counters.as_dict())
+        assert np.array_equal(reports["native"].dirty_roots,
+                              reports["bigint"].dirty_roots)
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,23 @@ def test_forest_counters_backend_invariant(name, g):
     assert np.array_equal(ref.pivot_n, other.pivot_n)
 
 
+@pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
+def test_pair_table_matches_sorted_unique(name, g):
+    """The (|H|, |Π|) pair table is exactly what a sort-based
+    ``np.unique`` over the leaves gives: pairs in key order with their
+    multiplicities, and each leaf's index into them."""
+    forest = build_forest(g, corpus_ordering(name, g), kernel="bigint")
+    width = int(forest.pivot_n.max()) + 1
+    key = forest.held_n.astype(np.int64) * width + forest.pivot_n
+    uniq, inv, mult = np.unique(key, return_inverse=True,
+                                return_counts=True)
+    assert forest._pairs == [
+        (int(u) // width, int(u) % width, int(m)) for u, m in zip(uniq, mult)
+    ]
+    assert forest._pair_inv.dtype == np.int64
+    assert np.array_equal(forest._pair_inv, inv)
+
+
 def test_forest_per_vertex_sum_invariant(g):
     """Per-vertex counts sum to k x (total k-cliques)."""
     forest = build_forest(g, core_ordering(g))

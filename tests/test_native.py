@@ -28,7 +28,9 @@ from hypothesis import strategies as st
 from repro import PivotScaleConfig, count_cliques
 from repro.cli import build_parser
 from repro.counting import count_kcliques
+from repro.counting.dynamic import _collect_batch
 from repro.counting.sct import SCTEngine
+from repro.counting.structures import STRUCTURES as STRUCTURE_TYPES
 from repro.errors import (
     KernelUnavailableError,
     NodeBudgetExceededError,
@@ -208,6 +210,78 @@ def test_overflow_roots_keep_kernel_call_parity():
             if m.name == "kernel_calls_total"
             and dict(m.labels)["kernel"] == kernel
         }
+    assert calls["native"] == calls["bigint"]
+
+
+# ----------------------------------------------------------------------
+# leaf collection: collect_roots == the Python forest walker
+# ----------------------------------------------------------------------
+def _assert_same_collection(g, dag, structure, roots, members):
+    """``collect_roots`` (through the dynamic recompute's batch call)
+    equals ``_collect_root`` run root by root on ``bigint``: leaves,
+    member ids, per-root work and memory, and every counter."""
+    ref = _collect_batch(STRUCTURE_TYPES[structure](g, dag, kernel="bigint"),
+                         roots, members)
+    got = _collect_batch(STRUCTURE_TYPES[structure](g, dag, kernel="native"),
+                         roots, members)
+    for want, have in zip(ref[0], got[0]):
+        if want is None:
+            assert have is None
+        else:
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want)
+    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[2], ref[2])
+    assert got[3].as_dict() == ref[3].as_dict()
+
+
+@needs_native
+@pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
+def test_collect_roots_matches_python_walker(name, g):
+    dag = directionalize(g, ordering(name, g))
+    roots = np.arange(g.num_vertices, dtype=np.int64)
+    for structure in STRUCTURES:
+        for members in (True, False):
+            _assert_same_collection(g, dag, structure, roots, members)
+
+
+@needs_native
+@pytest.mark.parametrize("members", [True, False])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_collect_roots_multiword_and_shuffled(structure, members):
+    g = _multiword_graph()
+    dag = directionalize(g, core_ordering(g))
+    wide = np.flatnonzero(dag.degrees > 64)
+    assert wide.size
+    roots = np.random.default_rng(5).permutation(g.num_vertices)
+    _assert_same_collection(g, dag, structure, roots, members)
+    leaves = resolve_kernel("native").collect_roots(g, dag, wide, members)
+    assert leaves.column("early").sum() == 0
+    assert leaves.held_n.size == leaves.column("leaves").sum()
+
+
+@needs_native
+def test_collect_roots_publishes_scalar_kernel_calls():
+    """Under observation, a native recompute reports the kernel calls
+    the Python walker makes for the same roots."""
+    from repro import obs
+    from repro.counting.forest import build_forest
+
+    g = _multiword_graph()
+    o = core_ordering(g)
+    batch = [("+", 0, 200), ("-", *map(int, g.edge_array()[5]))]
+    calls = {}
+    for kernel in ("bigint", "native"):
+        forest = build_forest(g, o, kernel=kernel)
+        with obs.collecting() as reg:
+            forest.apply_edits(batch)
+        calls[kernel] = {
+            dict(m.labels)["op"]: m.value
+            for m in reg.collect()
+            if m.name == "kernel_calls_total"
+            and dict(m.labels)["kernel"] == kernel
+        }
+    assert calls["bigint"]["pivot_select"] > 0
     assert calls["native"] == calls["bigint"]
 
 
