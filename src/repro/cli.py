@@ -223,13 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args):
+    from repro import obs
     from repro.datasets import get_spec, load
     from repro.graph.io import read_edge_list
 
-    if args.dataset:
-        spec = get_spec(args.dataset)
-        return load(args.dataset), spec.effective_num_vertices
-    return read_edge_list(args.edge_list), None
+    with obs.phase("load"):
+        if args.dataset:
+            spec = get_spec(args.dataset)
+            return load(args.dataset), spec.effective_num_vertices
+        return read_edge_list(args.edge_list), None
 
 
 def _resilience_kwargs(args) -> dict:

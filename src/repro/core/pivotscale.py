@@ -141,31 +141,32 @@ def _run(
     # Phase times for analogs are extrapolated to paper scale with a
     # common linear factor, so within-graph phase ratios stay measured.
     work_scale = eff_nv / max(1.0, float(g.num_vertices))
-    counting_phase = simulate_counting(
-        counting,
-        threads=config.threads,
-        machine=config.machine,
-        scheduler=config.scheduler,
-        effective_num_vertices=eff_nv,
-        max_out_degree=dag.max_degree,
-        work_scale=work_scale,
-    )
-    ordering_phase = simulate_ordering(
-        ordering.cost,
-        threads=config.threads,
-        machine=config.machine,
-        work_scale=work_scale,
-    )
-    # Heuristic pass: one scan of the hub's neighborhood plus the
-    # common-neighbor intersection — O(hub degree) work.
-    hub_work = float(2 * g.max_degree + g.num_vertices / config.threads)
-    heuristic_seconds = (
-        CostModel(config.machine)
-        .estimate_rounds((hub_work,), 0.0, threads=config.threads)
-        .seconds
-        if decision is not None
-        else 0.0
-    )
+    with obs.phase("model"):
+        counting_phase = simulate_counting(
+            counting,
+            threads=config.threads,
+            machine=config.machine,
+            scheduler=config.scheduler,
+            effective_num_vertices=eff_nv,
+            max_out_degree=dag.max_degree,
+            work_scale=work_scale,
+        )
+        ordering_phase = simulate_ordering(
+            ordering.cost,
+            threads=config.threads,
+            machine=config.machine,
+            work_scale=work_scale,
+        )
+        # Heuristic pass: one scan of the hub's neighborhood plus the
+        # common-neighbor intersection — O(hub degree) work.
+        hub_work = float(2 * g.max_degree + g.num_vertices / config.threads)
+        heuristic_seconds = (
+            CostModel(config.machine)
+            .estimate_rounds((hub_work,), 0.0, threads=config.threads)
+            .seconds
+            if decision is not None
+            else 0.0
+        )
     phases = PhaseBreakdown(
         heuristic_seconds=heuristic_seconds,
         ordering_seconds=ordering_phase.seconds,

@@ -67,6 +67,7 @@ from repro.errors import (
     KernelFaultError,
     MemoryBudgetExceededError,
 )
+from repro.graph.build import sorted_unique
 from repro.graph.csr import CSRGraph
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -184,14 +185,14 @@ def edit_graph(
         if missing.any():
             bad = [dels[i] for i in np.flatnonzero(missing)]
             raise CountingError(f"cannot delete absent edges {bad}")
-        gone = np.unique(drop)
+        gone = sorted_unique(drop)
     new = np.zeros(0, dtype=np.int64)
     if adds:
         pairs = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
         if pairs.min() < 0:
             raise GraphFormatError("negative vertex id in edge array")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        keys = sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
         # A deleted edge inserted again stays; a present one is a no-op.
         gone = gone[~np.isin(gone, keys)]
         new = keys[~_has_edge_keys(graph, keys, n)]
@@ -224,7 +225,7 @@ def _locate(
     in ``indices`` (the insertion point when absent) and whether it is
     there.  Costs the touched rows, not the graph."""
     n = indptr.size - 1
-    rows = np.unique(src)
+    rows = sorted_unique(src)
     owner, at = _row_entries(indptr, rows)
     # Row-major keys of the touched entries are sorted: rows ascend and
     # each row is sorted.
@@ -378,7 +379,7 @@ def dirty_roots(
             f"rank has shape {rank.shape}, expected "
             f"({new_graph.num_vertices},)"
         )
-    ends = np.unique(
+    ends = sorted_unique(
         np.asarray([*adds, *dels], dtype=np.int64).reshape(-1)
     )
     found = [np.arange(old_graph.num_vertices, new_graph.num_vertices,
@@ -388,7 +389,7 @@ def dirty_roots(
         owner, at = _row_entries(g.indptr, w)
         nbrs = g.indices[at]
         found.append(nbrs[rank[nbrs] < rank[w][owner]])
-    return np.unique(np.concatenate(found))
+    return sorted_unique(np.concatenate(found))
 
 
 def edits_digest(

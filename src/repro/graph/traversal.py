@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.build import sorted_unique
 from repro.graph.csr import CSRGraph
 
 __all__ = ["bfs_distances", "connected_components", "largest_component"]
@@ -38,7 +39,7 @@ def bfs_distances(g: CSRGraph, source: int) -> np.ndarray:
         nbrs = np.concatenate(
             [g.indices[s:e] for s, e in zip(starts, ends)]
         )
-        fresh = np.unique(nbrs[dist[nbrs] < 0])
+        fresh = sorted_unique(nbrs[dist[nbrs] < 0])
         dist[fresh] = level
         frontier = fresh
     return dist
@@ -59,7 +60,7 @@ def connected_components(g: CSRGraph) -> np.ndarray:
             nbrs = np.concatenate(
                 [g.neighbors(int(u)) for u in frontier]
             ) if frontier.size else np.empty(0, dtype=np.int64)
-            fresh = np.unique(nbrs[labels[nbrs] < 0]) if nbrs.size else nbrs
+            fresh = sorted_unique(nbrs[labels[nbrs] < 0]) if nbrs.size else nbrs
             labels[fresh] = current
             frontier = fresh
         current += 1

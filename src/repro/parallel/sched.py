@@ -93,6 +93,23 @@ class Scheduler(abc.ABC):
     def _chunks(self, n: int) -> list[slice]:
         return [slice(i, min(i + self.chunk, n)) for i in range(0, n, self.chunk)]
 
+    def _chunk_sums(self, work: np.ndarray) -> np.ndarray:
+        """Summed work of each chunk, in chunk order.
+
+        Equal to ``work[sl].sum()`` for every slice of :meth:`_chunks`
+        bit for bit: each row of the reshaped block is reduced by the
+        same contiguous (pairwise) sum a 1-D slice gets, and the ragged
+        tail is summed as its own slice.
+        """
+        c = self.chunk
+        if c == 1:
+            return work
+        full = work.size - work.size % c
+        sums = work[:full].reshape(-1, c).sum(axis=1)
+        if full < work.size:
+            sums = np.append(sums, work[full:].sum())
+        return sums
+
 
 class StaticScheduler(Scheduler):
     """OpenMP ``schedule(static)``: contiguous blocks of ~n/T tasks.
@@ -122,10 +139,11 @@ class CyclicScheduler(Scheduler):
     name = "cyclic"
 
     def assign(self, work: np.ndarray, threads: int) -> Assignment:
-        work = self._check(work, threads)
-        loads = np.zeros(threads, dtype=np.float64)
-        for i, sl in enumerate(self._chunks(work.size)):
-            loads[i % threads] += work[sl].sum()
+        sums = self._chunk_sums(self._check(work, threads))
+        # bincount adds each weight into its bin in index order, the
+        # same sequence of float additions as dealing the chunks out.
+        loads = np.bincount(np.arange(sums.size) % threads, weights=sums,
+                            minlength=threads)
         return Assignment(loads=loads)
 
 
@@ -133,18 +151,22 @@ class DynamicScheduler(Scheduler):
     """OpenMP ``schedule(dynamic, chunk)``: next chunk to the first
     idle thread — greedy list scheduling, modeled with an
     earliest-finishing-thread heap.  PivotScale's default.
+
+    Each chunk goes to the heap's minimum ``(load, thread)``.  Thread
+    ids are distinct, so that minimum is unique and the assignment does
+    not depend on the heap's internal layout: one ``heapreplace`` per
+    chunk gives the same loads as a pop followed by a push.
     """
 
     name = "dynamic"
 
     def assign(self, work: np.ndarray, threads: int) -> Assignment:
-        work = self._check(work, threads)
-        heap = [(0.0, t) for t in range(threads)]
-        heapq.heapify(heap)
+        sums = self._chunk_sums(self._check(work, threads))
+        heap = [(0.0, t) for t in range(threads)]  # sorted, so a heap
+        for w in sums.tolist():
+            load, t = heap[0]
+            heapq.heapreplace(heap, (load + w, t))
         loads = np.zeros(threads, dtype=np.float64)
-        for sl in self._chunks(work.size):
-            w = float(work[sl].sum())
-            load, t = heapq.heappop(heap)
-            loads[t] = load + w
-            heapq.heappush(heap, (loads[t], t))
+        for load, t in heap:
+            loads[t] = load
         return Assignment(loads=loads)

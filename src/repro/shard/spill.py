@@ -68,8 +68,7 @@ def slice_arrays(graph, dag, lo: int, hi: int) -> dict:
     )
 
     keep = np.zeros(n, dtype=bool)
-    if d_indices.size:
-        keep[np.unique(d_indices)] = True
+    keep[d_indices] = True
     g_counts = np.where(keep, gdeg, 0)
     g_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(g_counts, out=g_indptr[1:])

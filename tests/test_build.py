@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import GraphFormatError
 from repro.graph.build import (
@@ -9,6 +11,7 @@ from repro.graph.build import (
     from_edge_array,
     from_edge_list,
     induced_subgraph,
+    sorted_unique,
 )
 from repro.graph.generators import complete_graph
 
@@ -99,3 +102,14 @@ def test_induced_subgraph_empty_selection():
     g = complete_graph(4)
     sub = induced_subgraph(g, np.array([], dtype=np.int64))
     assert sub.num_vertices == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(
+    dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+    elements=st.integers(0, 30),
+))
+def test_sorted_unique_matches_np_unique(a):
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -27,6 +27,22 @@ def test_count_edge_list(tmp_path, capsys):
     assert "3-cliques: 20" in capsys.readouterr().out
 
 
+def test_count_profile_lists_load_and_model(tmp_path, capsys):
+    from repro import obs
+
+    path = tmp_path / "k6.el"
+    write_edge_list(complete_graph(6), path)
+    obs.get_profiler().reset()
+    try:
+        assert main(["--profile", "count", "--edge-list", str(path),
+                     "-k", "3"]) == 0
+    finally:
+        obs.get_profiler().reset()
+    rows = [line.split()[0]
+            for line in capsys.readouterr().err.splitlines()[1:]]
+    assert rows == ["load", "ordering", "counting", "model"]
+
+
 def test_count_per_vertex(tmp_path, capsys):
     path = tmp_path / "k5.el"
     write_edge_list(complete_graph(5), path)
