@@ -7,28 +7,20 @@ regressions in the implementation are visible.  Two entry points:
 * ``pytest benchmarks/bench_kernels.py`` — pytest-benchmark timings of
   ordering, structure-build, counting, and every available
   bitset-kernel backend (backends that are registered but unavailable
-  here — e.g. ``numba`` without the ``[jit]`` extra — skip cleanly);
+  here — e.g. ``native`` without a C compiler — skip cleanly);
 * ``python benchmarks/bench_kernels.py [--smoke]`` — a standalone
   old-vs-new kernel comparison on a dense-structure root.  It times
-
-  - the fused ``count_rows`` (intersect + popcount) in its tier-1
-    single-mask form, and
-  - ``pivot_select`` / ``intersect_count_sweep`` in their tier-2
-    *frontier* forms — one batched call over a 32-mask frontier of
-    seeded dense candidate masks, the shape the frontier recursion
-    spine actually issues —
-
-  plus an end-to-end SCT ``count_kcliques`` run per backend, writes a
+  the fused ``count_rows`` (intersect + popcount) plus an end-to-end
+  SCT ``count_kcliques`` run per backend, writes a
   ``BENCH_kernels.json`` artifact, and exits nonzero on a missed gate:
-  the word-array backend must beat big-int by ``FRONTIER_GATE`` (8x
-  hard floor; ~10-20x measured) on both frontier ops, by
-  ``FULL_GATE``/``SMOKE_GATE`` on intersect/popcount, and must stay
-  above the ``E2E_GATE`` floor end-to-end.  The end-to-end floor is a
-  *parity* guard, not a speedup claim: on CPython, big-int bitsets are
-  already word-parallel C and the SCT tree concentrates its work in
-  small-``pc`` subtrees, so the hybrid frontier spine lands at ~0.9-1x
-  wall-clock (the floor catches regressions of the frontier spine
-  itself — a broken hybrid cutoff measured ~0.5x).
+  the word-array backend must beat big-int by ``FULL_GATE``/
+  ``SMOKE_GATE`` on intersect/popcount and stay above the
+  ``E2E_GATE`` floor end-to-end.  The end-to-end floor is a *parity*
+  guard, not a speedup claim: on CPython, big-int bitsets are already
+  word-parallel C and the SCT tree concentrates its work in
+  small-``pc`` subtrees, where the word-array ``pivot_select`` runs
+  the same big-int scan (``_PIVOT_SCALAR_PC``), so the two land near
+  1x wall-clock.
 """
 
 import argparse
@@ -136,16 +128,6 @@ def test_kernel_pivot_select(benchmark, hub_root, backend):
 
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
-def test_kernel_pivot_select_sweep(benchmark, hub_root, backend, bench_seed):
-    _require_backend(backend)
-    ctx = hub_root[backend]
-    kern, rows = ctx.kernel, ctx.rows
-    mask_ints, pcs = _frontier_masks(ctx.d, bench_seed)
-    native = [kern.to_native(rows, m) for m in mask_ints]
-    benchmark(kern.pivot_select_sweep, rows, native, pcs)
-
-
-@pytest.mark.parametrize("backend", sorted(KERNELS))
 def test_kernel_counting_wordarray_vs_bigint(benchmark, backend,
                                              bench_seed):
     _require_backend(backend)
@@ -168,72 +150,24 @@ FULL_GATE = 2.0
 #: on the fused kernels it exists to accelerate.
 SMOKE_GATE = 1.0
 
-#: Hard floor for the tier-2 frontier forms of ``pivot_select`` and
-#: ``intersect_count_sweep`` in *both* modes: batching a whole frontier
-#: into one word-tile op measures ~10-20x over the scalar big-int scan
-#: on the dense gate root; 8x is the frozen floor with headroom for
-#: machine noise (raised from the pre-batching 1.0x floors).
-FRONTIER_GATE = 8.0
-
-#: End-to-end floor: a full SCT count on the word-array frontier spine
-#: must stay within ~1.7x of big-int wall-clock.  Measured ~0.9-1.0x
-#: (see module docstring — this is a parity/regression guard; the
-#: pre-hybrid frontier spine measured ~0.5x and would fail it).
+#: End-to-end floor: a full SCT count on the word-array backend must
+#: stay within ~1.7x of big-int wall-clock (a parity/regression guard,
+#: see the module docstring).
 E2E_GATE = 0.6
 
-#: The ops timed in tier-2 frontier form (one batched call over a
-#: :data:`FRONTIER_F`-mask frontier), gated at :data:`FRONTIER_GATE`.
-FRONTIER_OPS = ("pivot_select", "intersect_count_sweep")
-
 #: The ops the gate applies to.
-GATED_OPS = ("intersect_popcount",) + FRONTIER_OPS
-
-#: Frontier shape for the batched-op benchmarks: 32 candidate masks at
-#: ~0.9 density over the hub root — a dense upper-level frontier, the
-#: regime the tier-2 kernels exist for.
-FRONTIER_F = 32
-FRONTIER_DENSITY = 0.9
+GATED_OPS = ("intersect_popcount",)
 
 
-def _op_gate(op: str, gate: float) -> float:
-    """Required speedup for ``op`` under mode threshold ``gate``."""
-    return FRONTIER_GATE if op in FRONTIER_OPS else gate
-
-
-def _frontier_masks(d: int, seed: int) -> tuple[list[int], list[int]]:
-    """Seeded dense candidate-mask frontier: big-int masks + popcounts."""
-    rng = np.random.default_rng(seed ^ 0xF0)
-    bits = rng.random((FRONTIER_F, d)) < FRONTIER_DENSITY
-    mask_ints = [
-        int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little"
-        )
-        for row in bits
-    ]
-    return mask_ints, [m.bit_count() for m in mask_ints]
-
-
-def _bench_ops(ctx, mask_ints, pcs, *, number, repeats):
-    """Per-repeat timing samples of the kernel ops on one built root.
-
-    ``intersect_popcount`` times the tier-1 single-mask ``count_rows``;
-    the :data:`FRONTIER_OPS` time the tier-2 batched forms over the
-    shared mask frontier.  Native-mask conversion happens *outside* the
-    timed region — the recursion holds native masks across calls, so
-    conversion is not part of the steady-state cost being measured.
-    """
+def _bench_ops(ctx, *, number, repeats):
+    """Per-repeat timing samples of the tier-1 ``count_rows``
+    (``intersect_popcount``) on one built root."""
     kern, rows, d = ctx.kernel, ctx.rows, ctx.d
     P = (1 << d) - 1
-    native = [kern.to_native(rows, m) for m in mask_ints]
-    ops = {
-        "intersect_popcount": lambda: kern.count_rows(rows, P),
-        "pivot_select": lambda: kern.pivot_select_sweep(rows, native, pcs),
-        "intersect_count_sweep":
-            lambda: kern.intersect_count_sweep(rows, native),
-    }
     return {
-        name: time_samples(fn, number=number, repeats=repeats)
-        for name, fn in ops.items()
+        "intersect_popcount": time_samples(
+            lambda: kern.count_rows(rows, P), number=number, repeats=repeats
+        ),
     }
 
 
@@ -285,8 +219,8 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
 
     Returns the payload dict (also written to ``out_path``); the
     ``gate`` entry records whether the word-array backend met the
-    required speedups on the fused/frontier kernels and the end-to-end
-    floor.  ``e2e`` is the ``(n, p, k)`` config of the end-to-end SCT
+    required speedup on the fused intersect/popcount kernel and the
+    end-to-end floor.  ``e2e`` is the ``(n, p, k)`` config of the end-to-end SCT
     count.  The invocation is also appended to the run store and
     checked against the promoted baseline (``payload["store_result"]``,
     never written to the legacy artifact).
@@ -298,20 +232,14 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
 
     timings = {}
     d = words = 0
-    mask_ints = pcs = None
     for backend in backends:
         ctx = DenseStructure(g, dag, kernel=backend).build(hub)
-        if mask_ints is None:
-            d = ctx.d
-            words = (d + 63) // 64
-            mask_ints, pcs = _frontier_masks(d, seed)
-        timings[backend] = _bench_ops(
-            ctx, mask_ints, pcs, number=number, repeats=repeats
-        )
+        d = ctx.d
+        words = (d + 63) // 64
+        timings[backend] = _bench_ops(ctx, number=number, repeats=repeats)
 
     table = Table(
-        title=(f"bitset kernels, dense root d={d} ({words} words), "
-               f"frontier F={FRONTIER_F}"),
+        title=f"bitset kernels, dense root d={d} ({words} words)",
         columns=["op", "bigint", "wordarray", "speedup", "wa words/s"],
     )
     ops_payload = {}
@@ -319,14 +247,12 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
         bi = min(timings["bigint"][op])
         wa = min(timings["wordarray"][op])
         speedup = bi / wa
-        scale = FRONTIER_F if op in FRONTIER_OPS else 1
-        words_per_s = scale * d * words / wa
+        words_per_s = d * words / wa
         ops_payload[op] = {
-            "form": "frontier" if op in FRONTIER_OPS else "single",
             "speedup": round(speedup, 3),
             "wordarray_words_per_s": words_per_s,
             "gated": op in GATED_OPS,
-            "gate_threshold": _op_gate(op, gate) if op in GATED_OPS else None,
+            "gate_threshold": gate if op in GATED_OPS else None,
         }
         for backend in backends:
             ops_payload[op][f"{backend}_s"] = min(timings[backend][op])
@@ -353,27 +279,23 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
               f"{e2e_speedup:.2f}x", "-")
 
     gate_pass = all(
-        ops_payload[op]["speedup"] >= _op_gate(op, gate) for op in GATED_OPS
+        ops_payload[op]["speedup"] >= gate for op in GATED_OPS
     ) and e2e_speedup >= E2E_GATE
     table.note(
-        f"gate: intersect/popcount >= {gate:.1f}x, frontier ops >= "
-        f"{FRONTIER_GATE:.1f}x, end-to-end >= {E2E_GATE:.1f}x -> "
-        f"{'PASS' if gate_pass else 'FAIL'}"
+        f"gate: intersect/popcount >= {gate:.1f}x, end-to-end >= "
+        f"{E2E_GATE:.1f}x -> {'PASS' if gate_pass else 'FAIL'}"
     )
     table.show()
 
     payload = {
         "bench": "kernels",
         "config": {"n": n, "p": p, "seed": seed,
-                   "number": number, "repeats": repeats,
-                   "frontier_f": FRONTIER_F,
-                   "frontier_density": FRONTIER_DENSITY},
+                   "number": number, "repeats": repeats},
         "backends": backends,
         "root": {"d": d, "words": words},
         "ops": ops_payload,
         "end_to_end": e2e_payload,
-        "gate": {"threshold": gate, "frontier_threshold": FRONTIER_GATE,
-                 "e2e_threshold": E2E_GATE,
+        "gate": {"threshold": gate, "e2e_threshold": E2E_GATE,
                  "ops": list(GATED_OPS), "pass": gate_pass},
     }
     artifact = write_json_artifact(out_path, payload)

@@ -14,7 +14,7 @@ Examples::
     python -m repro bench run all --smoke --repeat 3
     python -m repro bench compare --strict
     python -m repro bench baseline promote kernels
-    python -m repro bench history kernels --metric wordarray.pivot_select
+    python -m repro bench history kernels --metric wordarray.intersect_popcount
 """
 
 from __future__ import annotations

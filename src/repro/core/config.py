@@ -36,8 +36,8 @@ class PivotScaleConfig:
     kernel:
         Bitset-kernel backend for the counting hot path, one of
         :data:`repro.kernels.KERNELS`: ``"native"`` (compiled root
-        walker), ``"bigint"`` (Python big-int masks, the oracle),
-        ``"wordarray"`` (NumPy uint64 word arrays) or ``"numba"``.
+        walker), ``"bigint"`` (Python big-int masks, the oracle) or
+        ``"wordarray"`` (NumPy uint64 word arrays).
         ``None`` (default) resolves through
         :func:`repro.kernels.resolve_kernel`: the ``REPRO_KERNEL``
         environment variable if set, else ``"native"`` where a C

@@ -64,7 +64,7 @@ import numpy as np
 from repro import obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
-from repro.counting.sct import _FRONTIER_MIN_PC
+from repro.counting.sct import _fold_acc
 from repro.counting.structures import STRUCTURES, SubgraphStructure
 from repro.errors import (
     CheckpointError,
@@ -954,7 +954,6 @@ def _collect_root(
     kern = ctx.kernel
     pivot_select = kern.pivot_select
     intersect_count = kern.intersect_count
-    lw = ctx.lookup_weight
     full = (1 << d) - 1
     out = [int(g) for g in ctx.out]
     leaves: list = []
@@ -998,77 +997,8 @@ def _collect_root(
             cand ^= low
         acc[6] += edge_sum
 
-    cutoff = _FRONTIER_MIN_PC
-
-    def rec_frontier(P, pc: int, held: int, pivots: int, choice) -> None:
-        # Tier-2 spine: same depth-first order (so the flat leaf arrays
-        # are bit-identical), but the branch loop collapses into one
-        # expand_children call and the large children share one
-        # pivot_select_sweep; subtrees below the hybrid cutoff are
-        # handed whole to the scalar closure (see sct.py).
-        acc[0] += 1
-        if pc == 0:
-            leaf(held, pivots)
-            return
-        acc[3] += pc
-        best, best_row, best_cnt, edge_sum = choice
-        ws, children, ccs = expand(rows, P, best, best_row)
-        nb = len(ws)
-        acc[4] += nb
-        edge_sum += sum(ccs)
-        acc[6] += edge_sum
-        big_pivot = best_cnt >= cutoff
-        masks = []
-        pcs = []
-        slots = []
-        if big_pivot:
-            masks.append(best_row)
-            pcs.append(best_cnt)
-            slots.append(-1)
-        for i in range(nb):
-            if ccs[i] >= cutoff:
-                masks.append(children[i])
-                pcs.append(ccs[i])
-                slots.append(i)
-        pivot_choice = None
-        child_choice = [None] * nb
-        if masks:
-            cb, cr, ccnt, ce = sweep(rows, masks, pcs)
-            for t, s in enumerate(slots):
-                if s < 0:
-                    pivot_choice = (cb[t], cr[t], ccnt[t], ce[t])
-                else:
-                    child_choice[s] = (cb[t], cr[t], ccnt[t], ce[t])
-        pivot_ids.append(out[best])
-        if big_pivot:
-            rec_frontier(best_row, best_cnt, held, pivots + 1, pivot_choice)
-        else:
-            rec(mask_int(rows, best_row), best_cnt, held, pivots + 1)
-        pivot_ids.pop()
-        held1 = held + 1
-        for i in range(nb):
-            held_ids.append(out[ws[i]])
-            if ccs[i] >= cutoff:
-                rec_frontier(children[i], ccs[i], held1, pivots,
-                             child_choice[i])
-            else:
-                rec(mask_int(rows, children[i]), ccs[i], held1, pivots)
-            held_ids.pop()
-
-    if kern.frontier and d >= cutoff:
-        expand = kern.expand_children
-        sweep = kern.pivot_select_sweep
-        mask_int = kern.mask_int
-        fullN = kern.to_native(rows, full)
-        cb, cr, ccnt, ce = sweep(rows, [fullN], [d])
-        rec_frontier(fullN, d, 1, 0, (cb[0], cr[0], ccnt[0], ce[0]))
-    else:
-        rec(full, d, 1, 0)
-    ctr.function_calls += acc[0]
-    ctr.leaves += acc[1]
-    ctr.index_lookups += (acc[3] + acc[4]) * lw
-    ctr.set_op_words += acc[6] + acc[3] + acc[4]
-    ctr.max_depth = max(ctr.max_depth, acc[5])
+    rec(full, d, 1, 0)
+    _fold_acc(ctr, acc, ctx.lookup_weight)
     return leaves
 
 

@@ -59,8 +59,8 @@ class CountingError(ReproError):
 class KernelUnavailableError(CountingError):
     """An optional kernel backend cannot run on this interpreter.
 
-    Carries the *reason* (e.g. the underlying ``ImportError`` text for
-    the numba backend) so :func:`repro.kernels.resolve_kernel` can
+    Carries the *reason* (e.g. why the ``native`` backend's C walker
+    could not be built) so :func:`repro.kernels.resolve_kernel` can
     report why — not just that — a registered backend is unavailable.
     """
 

@@ -7,6 +7,7 @@ self loops and duplicate edges removed.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,12 @@ __all__ = [
     "induced_subgraph",
     "csr_from_sorted_edges",
     "sorted_unique",
+    "MAX_VERTICES",
 ]
+
+#: Largest vertex count :func:`from_edge_array` accepts: it dedups
+#: edges by the int64 key ``u * n + v``, which needs ``n * n`` to fit.
+MAX_VERTICES = math.isqrt(int(np.iinfo(np.int64).max))
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -57,7 +63,8 @@ def from_edge_array(
     edges:
         Integer array of shape ``(m, 2)``.  May be empty.
     num_vertices:
-        Vertex-set size; defaults to ``max id + 1``.
+        Vertex-set size; defaults to ``max id + 1``.  Either way it may
+        not exceed :data:`MAX_VERTICES`.
     symmetrize:
         Treat rows as undirected pairs (default, matches the paper).
     """
@@ -77,6 +84,11 @@ def from_edge_array(
                 f"num_vertices={num_vertices} smaller than max id {n - 1}"
             )
         n = int(num_vertices)
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"{n} vertices exceed MAX_VERTICES={MAX_VERTICES}: the edge "
+            f"key u * n + v must fit in int64"
+        )
 
     edges = edges[edges[:, 0] != edges[:, 1]]  # drop self loops
     if symmetrize:

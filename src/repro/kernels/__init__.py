@@ -1,6 +1,6 @@
 """Swappable bitset kernels for the counting hot path.
 
-Four interchangeable backends implement the word-parallel
+Three interchangeable backends implement the word-parallel
 intersect-and-count operations at the heart of every engine:
 
 * ``"native"`` — the ``bigint`` ops plus a compiled C walker that runs
@@ -10,11 +10,9 @@ intersect-and-count operations at the heart of every engine:
 * ``"bigint"`` — Python arbitrary-precision ints as bitsets (the
   reference semantics, and the pure-Python oracle);
 * ``"wordarray"`` — NumPy uint64 word arrays with vectorized ``&`` and
-  hardware popcount, fused single-row kernels plus the tier-2 batched
-  frontier kernels (``pivot_select_sweep`` / ``expand_children``);
-* ``"numba"`` — opt-in nopython JIT compilation of the same frontier
-  kernels (the ``[jit]`` extra); when numba is not importable,
-  resolving it falls back to ``wordarray`` with a warning.
+  hardware popcount behind the same fused ops; the second differential
+  backend and the fault-injection tests' non-reference backend (a
+  kernel fault degrades it to ``bigint``).
 
 Select a backend per run via ``PivotScaleConfig(kernel=...)``, the CLI
 ``--kernel`` flag, the ``REPRO_KERNEL`` environment variable, or any
@@ -32,31 +30,29 @@ import warnings
 from repro.errors import CountingError, KernelUnavailableError
 from repro.kernels.base import BitsetKernel, PivotChoice
 from repro.kernels.bigint import BigIntKernel
-from repro.kernels.jit import NumbaKernel, numba_unavailable_reason
 from repro.kernels.native import NativeKernel, native_unavailable_reason
 from repro.kernels.wordarray import WordArrayKernel
 
 KERNELS: dict[str, type[BitsetKernel]] = {
     "bigint": BigIntKernel,
     "wordarray": WordArrayKernel,
-    "numba": NumbaKernel,
     "native": NativeKernel,
 }
 """Registry of kernel backends, keyed by CLI/config name.
 
-Every registered name is *valid configuration*; optional backends
-(``numba``, ``native``) may still be unavailable at runtime — see
+Every registered name is *valid configuration*; the optional
+``native`` backend may still be unavailable at runtime — see
 :func:`kernel_availability` and the fallback in :func:`resolve_kernel`.
 """
 
 DEFAULT_KERNEL = "native"
 
 #: Where an unavailable optional backend falls back to.
-_FALLBACK = {"numba": "wordarray", "native": "bigint"}
+_FALLBACK = {"native": "bigint"}
 
 #: Environment override for the default backend (used by the CI
-#: ``kernels-numba`` and ``oracle`` jobs to re-run whole suites on
-#: another backend without touching every call site).
+#: ``oracle`` job to re-run whole suites on another backend without
+#: touching every call site).
 KERNEL_ENV = "REPRO_KERNEL"
 
 
@@ -66,7 +62,6 @@ def kernel_availability() -> dict[str, str | None]:
     return {
         "bigint": None,
         "wordarray": None,
-        "numba": numba_unavailable_reason(),
         "native": native_unavailable_reason(),
     }
 
@@ -98,10 +93,8 @@ def resolve_kernel(kernel: str | BitsetKernel | None = None) -> BitsetKernel:
 
     ``None`` resolves through :func:`default_kernel_name`.  An unknown
     name raises :class:`~repro.errors.CountingError` listing the
-    registered backends; a *registered but unavailable* optional
-    backend named explicitly (numba without the ``[jit]`` extra,
-    native without a working C compiler) falls back — numba to
-    ``wordarray``, native to ``bigint`` — with a
+    registered backends; ``native`` named explicitly where no C
+    compiler works falls back to ``bigint`` with a
     :class:`RuntimeWarning` naming the reason, so configs written for
     other hosts still run everywhere.
 
@@ -142,7 +135,6 @@ __all__ = [
     "PivotChoice",
     "BigIntKernel",
     "WordArrayKernel",
-    "NumbaKernel",
     "NativeKernel",
     "KERNELS",
     "DEFAULT_KERNEL",

@@ -6,9 +6,12 @@ call (``intersect``, ``intersect_count``, ``count_rows``,
 ``kernel_calls_total{kernel=..., op=...}`` registry counters.  Counts
 are taken at the kernel *contract* boundary, not inside backends, so
 the big-int and word-array backends — which do wildly different work
-per call — report bit-identical call counts on the same DAG: the
-engines' control flow is backend-invariant by construction, and the
-invariant suite (``tests/test_obs.py``) holds them to it.
+per call — report bit-identical call counts on the same DAG: every
+engine query runs one scalar recursion whatever the backend, and the
+invariant suite (``tests/test_obs.py``) holds them to it.  The
+``native`` backend's root walks never call the per-node ops; the
+wrapper publishes, from each walk's exact tallies, the calls the
+scalar recursion would have made for it.
 
 The wrapper exists only while observability is enabled:
 :func:`repro.kernels.resolve_kernel` consults
@@ -52,14 +55,6 @@ class InstrumentedKernel(BitsetKernel):
         self._c_sweep = c(
             "kernel_calls_total", kernel=k, op="intersect_count_sweep"
         )
-        self._c_pss = c(
-            "kernel_calls_total", kernel=k, op="pivot_select_sweep"
-        )
-        self._c_exp = c("kernel_calls_total", kernel=k, op="expand_children")
-
-    @property
-    def frontier(self) -> bool:
-        return self.inner.frontier
 
     @property
     def walks_roots(self) -> bool:
@@ -89,15 +84,6 @@ class InstrumentedKernel(BitsetKernel):
     def row_accessor(self, rows: Any):
         return self.inner.row_accessor(rows)
 
-    def mask_int(self, rows: Any, mask: Any) -> int:
-        return self.inner.mask_int(rows, mask)
-
-    def to_native(self, rows: Any, mask: int) -> Any:
-        return self.inner.to_native(rows, mask)
-
-    def sweep_entry(self, rows: Any, batch: Any, j: int, i: int):
-        return self.inner.sweep_entry(rows, batch, j, i)
-
     # ----------------------------------------------------- fused kernels
     def intersect(self, rows: Any, i: int, mask: int) -> int:
         self._c_int.inc()
@@ -111,23 +97,13 @@ class InstrumentedKernel(BitsetKernel):
         self._c_cr.inc()
         return self.inner.count_rows(rows, mask)
 
-    def intersect_count_sweep(self, rows: Any, mask: Any):
+    def intersect_count_sweep(self, rows: Any, mask: int):
         self._c_sweep.inc()
         return self.inner.intersect_count_sweep(rows, mask)
 
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
         self._c_ps.inc()
         return self.inner.pivot_select(rows, P, pc)
-
-    def pivot_select_sweep(
-        self, rows: Any, masks: Sequence[Any], pcs: Sequence[int]
-    ):
-        self._c_pss.inc()
-        return self.inner.pivot_select_sweep(rows, masks, pcs)
-
-    def expand_children(self, rows: Any, P: Any, best: int, best_row: Any):
-        self._c_exp.inc()
-        return self.inner.expand_children(rows, P, best, best_row)
 
     # ------------------------------------------------------ root walks
     def walk_roots_k(self, graph, dag, roots, k, early_termination=True):

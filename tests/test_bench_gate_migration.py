@@ -74,7 +74,8 @@ def run_tiny(name, tmp_path, seed):
 #: The legacy artifact's frozen structure: these keys may not disappear
 #: until the deprecation cycle ends.  Additive keys are allowed.
 FROZEN_TOP_KEYS = {
-    "kernels": {"bench", "config", "root", "ops", "gate"},
+    "kernels": {"bench", "config", "backends", "root", "ops",
+                "end_to_end", "gate"},
     "obs": {"bench", "config", "sweep_seconds", "overhead_pct", "gate"},
     "parallel": {"bench", "config", "count", "serial_s", "parallel_s",
                  "overhead", "speedup", "gate"},

@@ -74,9 +74,8 @@ from tests.corpus import (
 )
 from tests.corpus import ordering as corpus_ordering
 
-# The two always-available backends (numba is an optional extra whose
-# resolve falls back to wordarray; exercising it here would double-run
-# wordarray under a warning), plus the compiled one where it builds.
+# The two always-available backends, plus the compiled one where it
+# builds.
 NATIVE = kernel_availability()["native"] is None
 BACKENDS = ("bigint", "wordarray") + (("native",) if NATIVE else ())
 needs_native = pytest.mark.skipif(not NATIVE,

@@ -51,7 +51,7 @@ from tests.corpus import GRAPHS, IDS
 from tests.corpus import ordering as corpus_ordering
 from tests.corpus import truth as corpus_truth
 
-BACKENDS = tuple(sorted(KERNELS))  # ("bigint", "wordarray")
+BACKENDS = tuple(sorted(KERNELS))  # ("bigint", "native", "wordarray")
 
 
 @pytest.fixture

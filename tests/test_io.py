@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphFormatError
+from repro.graph.build import MAX_VERTICES, from_edge_array
 from repro.graph.generators import erdos_renyi, complete_graph
 from repro.graph.io import load_npz, read_edge_list, save_npz, write_edge_list
 from repro.ordering import core_ordering, directionalize
@@ -63,6 +64,30 @@ def test_read_edge_list_negative_id():
 def test_read_edge_list_overflow_id():
     with pytest.raises(GraphFormatError, match="line 1: .*int64"):
         read_edge_list(io.StringIO(f"0 {2**80}\n"))
+
+
+def test_max_vertices_is_the_int64_edge_key_boundary():
+    # The edge key u * n + v tops out at n * n - 1.
+    assert MAX_VERTICES ** 2 <= 2**63 - 1 < (MAX_VERTICES + 1) ** 2
+
+
+@pytest.mark.parametrize("top", [MAX_VERTICES, 3_100_000_000, 2**63 - 1])
+def test_vertex_ids_past_the_edge_key_range_raise(top):
+    # An id of MAX_VERTICES makes n = MAX_VERTICES + 1, one past the
+    # boundary; larger ids would wrap the int64 key (a ValueError from
+    # np.bincount) or overflow it (an OverflowError).  A graph at the
+    # boundary itself needs a multi-gigabyte CSR, so it is not built.
+    with pytest.raises(GraphFormatError, match="MAX_VERTICES"):
+        from_edge_array(np.array([[0, top]], dtype=np.int64))
+    with pytest.raises(GraphFormatError, match="MAX_VERTICES"):
+        read_edge_list(io.StringIO(f"0 {top}\n"))
+
+
+def test_num_vertices_past_the_edge_key_range_raises():
+    with pytest.raises(GraphFormatError, match="MAX_VERTICES"):
+        from_edge_array(np.array([[0, 1]]), num_vertices=MAX_VERTICES + 1)
+    with pytest.raises(GraphFormatError, match="MAX_VERTICES"):
+        read_edge_list(io.StringIO("0 1\n"), num_vertices=MAX_VERTICES + 1)
 
 
 def test_read_edge_list_nan_token():

@@ -51,20 +51,18 @@ from repro.obs import (
 from repro.ordering import core_ordering, degree_ordering
 from repro.runtime import Budget, FaultPlan, FaultSpec, RunController
 
-#: Every runnable registered backend (numba auto-enrolls when the
-#: [jit] extra is importable).
+#: Every runnable registered backend.
 KERNEL_NAMES = tuple(available_kernels())
 
 # The kernel API surface the instrumented wrapper counts.
 KERNEL_OPS = (
     "alloc_rows", "set_row", "load_rows", "intersect", "intersect_count",
     "count_rows", "pivot_select", "intersect_count_sweep",
-    "pivot_select_sweep", "expand_children",
 )
 
 #: Ops whose counts depend only on the engine's root setup / query
-#: shape, never on which recursion spine (scalar vs frontier) ran —
-#: these must match across *all* backends.
+#: shape, never on whether the Python recursion or the native root
+#: walker ran — these must match across *all* backends.
 PATH_INVARIANT_OPS = ("alloc_rows", "set_row", "load_rows", "count_rows")
 
 
@@ -167,11 +165,11 @@ def test_forest_counts_bit_identical_obs_on_off():
 # ======================================================================
 @pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
 def test_kernel_call_counts_identical_across_backends(name, g):
-    # Backends sharing a recursion spine (scalar vs frontier — see
-    # BitsetKernel.frontier) must report identical per-op call counts;
-    # across spines the call totals legitimately change *shape*, but
-    # the root-setup ops stay invariant (the per-root work counters
-    # themselves are held exactly equal by test_differential).
+    # Backends sharing a recursion spine (the Python recursion, or the
+    # native root walker — see BitsetKernel.walks_roots) must report
+    # identical per-op call counts; across spines the root-setup ops
+    # stay invariant (the per-root work counters themselves are held
+    # exactly equal by test_differential).
     o = ordering(name, g)
     calls = {}
     for kernel in KERNEL_NAMES:
@@ -180,7 +178,7 @@ def test_kernel_call_counts_identical_across_backends(name, g):
         calls[kernel] = _kernel_calls(reg, kernel)
     by_class: dict[bool, list[str]] = {}
     for kernel in KERNEL_NAMES:
-        by_class.setdefault(KERNELS[kernel].frontier, []).append(kernel)
+        by_class.setdefault(KERNELS[kernel].walks_roots, []).append(kernel)
     for members in by_class.values():
         for other in members[1:]:
             assert calls[members[0]] == calls[other], (members[0], other)
@@ -195,8 +193,8 @@ def test_kernel_call_counts_identical_across_backends(name, g):
 
 def test_kernel_call_counts_enumeration_backend_invariant():
     # The enumeration engine only uses the scalar single-row ops, so
-    # its call counts stay identical across every backend regardless
-    # of frontier capability.
+    # its call counts stay identical across every backend, the native
+    # root walker included.
     name, g = GRAPHS[7]
     o = ordering(name, g)
     calls = {}
